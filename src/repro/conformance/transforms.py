@@ -57,9 +57,7 @@ def exchange_records(problem: ExchangeProblem) -> list[ExchangeRecord]:
                 "transforms cover pairwise exchanges only"
             )
         members = tuple((e.principal, e.provides, e.tag) for e in edges)
-        priority = tuple(
-            i for i, e in enumerate(edges) if e in graph.priority_edges
-        )
+        priority = tuple(i for i, e in enumerate(edges) if graph.is_priority(e))
         records.append(
             ExchangeRecord(
                 trusted=trusted,

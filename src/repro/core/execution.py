@@ -21,11 +21,14 @@ Indemnity deposits/refunds (§6) are spliced in by
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.actions import Action, notify, transfer
 from repro.core.constraints import Constraint, possession_constraints
 from repro.core.interaction import InteractionGraph
+from repro.core.items import Item
 from repro.core.parties import Party
 from repro.core.reduction import ReductionTrace
 from repro.core.sequencing import CommitmentNode
@@ -158,14 +161,12 @@ def recover_execution(
             "SequencingGraph.from_interaction to recover executions"
         )
 
-    order = list(execution_order(trace))
+    order = execution_order(trace)
     steps: list[ExecutionStep] = []
     executed: set[CommitmentNode] = set()
     commitments_at: dict[Party, list[CommitmentNode]] = {}
     for commitment in trace.graph.commitments:
         commitments_at.setdefault(commitment.trusted, []).append(commitment)
-    possession = _initial_possession(interaction)
-    bundle_gates = _bundle_gates(trace, commitments_at)
 
     # Possession-gated greedy scheduler.  The paper's rule (commit order with
     # red commitments deferred) is exact for a single red edge; with several
@@ -173,16 +174,19 @@ def recover_execution(
     # broker cannot deposit a document it has not yet been handed (§2.4).
     # Scheduling the first *executable* commitment in the deferred-adjusted
     # commit order reproduces the §5 listing and generalizes to chains.
-    while order:
-        if scheduler == "possession":
-            commitment = _next_executable(order, possession, bundle_gates, executed)
-        else:
-            commitment = order[0]
-        order.remove(commitment)
+    gated = (
+        _PossessionScheduler(
+            order,
+            _initial_possession(interaction),
+            _bundle_gates(trace, commitments_at),
+        )
+        if scheduler == "possession"
+        else None
+    )
+    for position in range(len(order)):
+        commitment = gated.pop() if gated is not None else order[position]
         edge = commitment.edge
         deposit = transfer(edge.principal, edge.trusted, edge.provides)
-        if not edge.provides.is_money:
-            possession[edge.principal].discard(edge.provides)
         steps.append(ExecutionStep(0, StepKind.DEPOSIT, deposit, commitment))
         executed.add(commitment)
         siblings = commitments_at[edge.trusted]
@@ -198,16 +202,14 @@ def recover_execution(
             )
         elif not pending:
             releases = _release_steps(interaction, edge.trusted, siblings)
-            for release in releases:
-                item = release.action.item
-                assert item is not None
-                if not item.is_money:
-                    possession[release.action.recipient].add(item)
+            if gated is not None:
+                for release in releases:
+                    gated.receive(release.action)
             steps.extend(releases)
     return ExecutionSequence(_resequence(steps))
 
 
-def _initial_possession(interaction: InteractionGraph) -> dict[Party, set]:
+def _initial_possession(interaction: InteractionGraph) -> dict[Party, set[Item]]:
     """Who starts out holding which goods.
 
     A principal initially owns a document it provides unless it also
@@ -216,16 +218,9 @@ def _initial_possession(interaction: InteractionGraph) -> dict[Party, set]:
     principals are assumed solvent — insolvency is modeled structurally with
     red edges (the §5 "poor broker"), not by the scheduler.
     """
-    possession: dict[Party, set] = {p: set() for p in interaction.parties}
+    possession: dict[Party, set[Item]] = {p: set() for p in interaction.parties}
     for edge in interaction.edges:
-        if edge.provides.is_money:
-            continue
-        incoming = any(
-            interaction.expects(other) == edge.provides
-            for other in interaction.edges
-            if other.principal == edge.principal and other != edge
-        )
-        if not incoming:
+        if not edge.provides.is_money and not interaction.resells(edge):
             possession[edge.principal].add(edge.provides)
     return possession
 
@@ -270,27 +265,71 @@ def _bundle_gates(
     return gates
 
 
-def _next_executable(
-    order: list[CommitmentNode],
-    possession: dict[Party, set],
-    bundle_gates: dict[CommitmentNode, list[CommitmentNode]],
-    executed: set[CommitmentNode],
-) -> CommitmentNode:
-    """The first commitment whose deposit its principal can actually make."""
-    for commitment in order:
-        item = commitment.edge.provides
-        if not item.is_money and item not in possession[commitment.edge.principal]:
-            continue
-        gate = bundle_gates.get(commitment, ())
-        if any(required not in executed for required in gate):
-            continue
-        return commitment
-    labels = [c.label for c in order]
-    raise InfeasibleExchangeError(
-        f"execution scheduler stalled: no pending commitment of {labels} can "
-        "be funded and bundle-assured; the reduction order admits no "
-        "§2.3-protective total order"
-    )
+class _PossessionScheduler:
+    """Picks, step by step, the first commitment in *order* whose deposit its
+    principal can make: it holds the good (money is not tracked) and every
+    bundle gate has executed.
+
+    A worklist instead of a rescan of *order* per step: positions still to
+    be checked sit in a min-heap; a position found blocked waits on the one
+    thing it lacks — the good reaching its principal, or one gate
+    commitment executing — and returns to the heap when that happens.  So
+    every position outside the heap is blocked, and the heap yields the
+    first executable position, exactly as a scan from the front would.
+    """
+
+    def __init__(
+        self,
+        order: tuple[CommitmentNode, ...],
+        possession: dict[Party, set[Item]],
+        bundle_gates: dict[CommitmentNode, list[CommitmentNode]],
+    ) -> None:
+        self._order = order
+        self._possession = possession
+        self._gates = bundle_gates  # consumed: executed requirements are popped
+        self._heap = list(range(len(order)))  # sorted, so already a heap
+        self._executed: set[CommitmentNode] = set()
+        self._awaiting_good: dict[tuple[Party, Item], list[int]] = {}
+        self._awaiting_commitment: dict[CommitmentNode, list[int]] = {}
+
+    def pop(self) -> CommitmentNode:
+        """Schedule and return the first executable commitment."""
+        while self._heap:
+            position = heapq.heappop(self._heap)
+            commitment = self._order[position]
+            principal, item = commitment.principal, commitment.edge.provides
+            if not item.is_money and item not in self._possession[principal]:
+                self._awaiting_good.setdefault((principal, item), []).append(position)
+                continue
+            gate = self._gates.get(commitment, [])
+            while gate and gate[-1] in self._executed:
+                gate.pop()
+            if gate:
+                self._awaiting_commitment.setdefault(gate[-1], []).append(position)
+                continue
+            if not item.is_money:
+                self._possession[principal].discard(item)
+            self._executed.add(commitment)
+            self._wake(self._awaiting_commitment.pop(commitment, ()))
+            return commitment
+        labels = [c.label for c in self._order if c not in self._executed]
+        raise InfeasibleExchangeError(
+            f"execution scheduler stalled: no pending commitment of {labels} can "
+            "be funded and bundle-assured; the reduction order admits no "
+            "§2.3-protective total order"
+        )
+
+    def receive(self, release: Action) -> None:
+        """Record a good released to its recipient."""
+        item = release.item
+        assert item is not None
+        if not item.is_money:
+            self._possession[release.recipient].add(item)
+            self._wake(self._awaiting_good.pop((release.recipient, item), ()))
+
+    def _wake(self, positions: Iterable[int]) -> None:
+        for position in positions:
+            heapq.heappush(self._heap, position)
 
 
 def _release_steps(

@@ -132,10 +132,10 @@ def splittable_conjunctions(problem: ExchangeProblem) -> tuple[Party, ...]:
     graph = problem.interaction
     result: list[Party] = []
     for principal in graph.principals:
-        edges = [e for e in graph.edges if e.principal == principal]
+        edges = graph.edges_at(principal)
         if len(edges) < 2:
             continue
-        if any(e in graph.priority_edges for e in edges):
+        if any(graph.is_priority(e) for e in edges):
             continue
         result.append(principal)
     return tuple(result)
@@ -145,6 +145,11 @@ def _conjunction_of(sg: SequencingGraph, agent: Party) -> ConjunctionNode:
     return sg.conjunction_for(agent)
 
 
+def _bundle_members(problem: ExchangeProblem, agent: Party) -> list[InteractionEdge]:
+    """The commitments *agent* holds as a principal, in edge order."""
+    return [e for e in problem.interaction.edges_at(agent) if e.principal == agent]
+
+
 def required_indemnity(problem: ExchangeProblem, covers: InteractionEdge) -> int:
     """The escrow needed to split *covers* out of its principal's bundle.
 
@@ -152,7 +157,7 @@ def required_indemnity(problem: ExchangeProblem, covers: InteractionEdge) -> int
     original bundle member but never receives the covered piece.
     """
     agent = covers.principal
-    members = [e for e in problem.interaction.edges if e.principal == agent]
+    members = _bundle_members(problem, agent)
     if covers not in members:
         raise IndemnityError(f"{covers.label!r} is not a commitment of {agent.name!r}")
     if len(members) < 2:
@@ -249,7 +254,7 @@ def greedy_order(problem: ExchangeProblem, agent: Party) -> list[InteractionEdge
     needs no indemnity, the total escrow is minimized.  Ties break on edge
     label for determinism.
     """
-    members = [e for e in problem.interaction.edges if e.principal == agent]
+    members = _bundle_members(problem, agent)
     return sorted(members, key=lambda e: (-commitment_cost(e), e.label))
 
 
@@ -291,7 +296,7 @@ def brute_force_minimal_plan(
                 f"{[p.name for p in candidates]}; pass agent= explicitly"
             )
         agent = candidates[0]
-    members = [e for e in problem.interaction.edges if e.principal == agent]
+    members = _bundle_members(problem, agent)
     best: IndemnityPlan | None = None
     for permutation in itertools.permutations(members):
         plan = plan_indemnities(problem, list(permutation), agent=agent)

@@ -88,6 +88,13 @@ class InteractionGraph:
         self._principals: dict[str, Party] = {}
         self._trusted: dict[str, Party] = {}
         self._edges: list[InteractionEdge] = []
+        # Indices over ``_edges``, kept in step by add_edge and copy(): the
+        # edge set for O(1) membership, each party's incident edges in
+        # insertion order, and the first edge per (principal, trusted, tag)
+        # name key for find_edge.
+        self._edge_set: set[InteractionEdge] = set()
+        self._incident: dict[Party, list[InteractionEdge]] = {}
+        self._by_key: dict[tuple[str, str, str], InteractionEdge] = {}
         self._priority: set[InteractionEdge] = set()
         # §9 extension: explicit entitlement maps for trusted components that
         # mediate more than two parties (who receives what on completion).
@@ -128,11 +135,15 @@ class InteractionGraph:
                 f"unknown trusted component {trusted.name!r}; add_trusted it first"
             )
         edge = InteractionEdge(principal, trusted, provides, tag)
-        if edge in self._edges:
+        if edge in self._edge_set:
             raise GraphError(
                 f"duplicate interaction edge {edge.label!r} (use tag= to disambiguate)"
             )
         self._edges.append(edge)
+        self._edge_set.add(edge)
+        self._incident.setdefault(principal, []).append(edge)
+        self._incident.setdefault(trusted, []).append(edge)
+        self._by_key.setdefault((principal.name, trusted.name, tag), edge)
         return edge
 
     def add_exchange(
@@ -217,7 +228,7 @@ class InteractionGraph:
         This yields a red edge at the principal's conjunction node in the
         sequencing graph (the resale pattern: secure the buyer before buying).
         """
-        if edge not in self._edges:
+        if edge not in self._edge_set:
             raise GraphError(f"cannot mark unknown edge {edge.label!r} as priority")
         self._priority.add(edge)
 
@@ -246,28 +257,31 @@ class InteractionGraph:
 
     @property
     def priority_edges(self) -> frozenset[InteractionEdge]:
-        """Edges whose commitments are priority (red) at their principal."""
+        """Edges whose commitments are priority (red) at their principal.
+
+        Builds a fresh set; test single edges with :meth:`is_priority`.
+        """
         return frozenset(self._priority)
 
+    def is_priority(self, edge: InteractionEdge) -> bool:
+        """Whether *edge* was marked priority (red) at its principal."""
+        return edge in self._priority
+
     def edges_at(self, party: Party) -> tuple[InteractionEdge, ...]:
-        """All edges incident to *party* (either endpoint)."""
-        return tuple(e for e in self._edges if party in (e.principal, e.trusted))
+        """All edges incident to *party* (either endpoint), in insertion order."""
+        return tuple(self._incident.get(party, ()))
 
     def degree(self, party: Party) -> int:
         """Number of edges incident to *party*."""
-        return len(self.edges_at(party))
+        return len(self._incident.get(party, ()))
 
     def internal_nodes(self) -> tuple[Party, ...]:
         """Parties with more than one edge — they get conjunction nodes (§4.1)."""
-        degrees: dict[Party, int] = {}
-        for e in self._edges:
-            degrees[e.principal] = degrees.get(e.principal, 0) + 1
-            degrees[e.trusted] = degrees.get(e.trusted, 0) + 1
-        return tuple(p for p in self.parties if degrees.get(p, 0) > 1)
+        return tuple(p for p in self.parties if self.degree(p) > 1)
 
     def counterparts(self, edge: InteractionEdge) -> tuple[InteractionEdge, ...]:
         """The other edge(s) at *edge*'s trusted component."""
-        return tuple(e for e in self.edges_at(edge.trusted) if e != edge)
+        return tuple(e for e in self._incident.get(edge.trusted, ()) if e != edge)
 
     def expects(self, edge: InteractionEdge) -> Item:
         """What *edge*'s principal receives if the mediated exchange completes.
@@ -286,21 +300,31 @@ class InteractionGraph:
             )
         return others[0].provides
 
+    def resells(self, edge: InteractionEdge) -> bool:
+        """Whether *edge*'s principal acquires what it provides through
+        another of its exchanges (a reseller), rather than owning it at the
+        start."""
+        return any(
+            self.expects(other) == edge.provides
+            for other in self._incident.get(edge.principal, ())
+            if other != edge
+        )
+
     def find_edge(self, principal_name: str, trusted_name: str, tag: str = "") -> InteractionEdge:
-        """Look up an edge by endpoint names (raises if absent)."""
-        for edge in self._edges:
-            if (
-                edge.principal.name == principal_name
-                and edge.trusted.name == trusted_name
-                and edge.tag == tag
-            ):
-                return edge
-        raise GraphError(f"no interaction edge {principal_name}--{trusted_name}#{tag}")
+        """Look up an edge by endpoint names (raises if absent).
+
+        With parallel edges that differ only in what they provide, the
+        first one added is returned.
+        """
+        edge = self._by_key.get((principal_name, trusted_name, tag))
+        if edge is None:
+            raise GraphError(f"no interaction edge {principal_name}--{trusted_name}#{tag}")
+        return edge
 
     def shared_intermediaries(self, a: Party, b: Party) -> tuple[Party, ...]:
         """Trusted components that both *a* and *b* have an edge to."""
-        at_a = {e.trusted for e in self._edges if e.principal == a}
-        at_b = {e.trusted for e in self._edges if e.principal == b}
+        at_a = {e.trusted for e in self._incident.get(a, ()) if e.principal == a}
+        at_b = {e.trusted for e in self._incident.get(b, ()) if e.principal == b}
         return tuple(t for t in self.trusted_components if t in at_a and t in at_b)
 
     # --------------------------------------------------------------- validate
@@ -315,12 +339,8 @@ class InteractionGraph:
         * every principal has at least one edge;
         * the two sides of a pairwise exchange must provide distinct items.
         """
-        incident: dict[Party, list[InteractionEdge]] = {p: [] for p in self.parties}
-        for e in self._edges:
-            incident[e.principal].append(e)
-            incident[e.trusted].append(e)
         for t in self.trusted_components:
-            degree = len(incident[t])
+            degree = self.degree(t)
             if degree < 2:
                 raise GraphError(
                     f"trusted component {t.name!r} has degree {degree}; it must "
@@ -332,14 +352,14 @@ class InteractionGraph:
                     "allow_multiparty=True to permit this §9 extension"
                 )
             if degree == 2:
-                left, right = incident[t]
+                left, right = self._incident[t]
                 if left.provides == right.provides:
                     raise GraphError(
                         f"both sides of the exchange at {t.name!r} provide "
                         f"{left.provides!s}; an exchange must swap distinct items"
                     )
         for p in self.principals:
-            if not incident[p]:
+            if not self.degree(p):
                 raise GraphError(f"principal {p.name!r} participates in no exchange")
 
     # ------------------------------------------------------------------ misc
@@ -350,6 +370,9 @@ class InteractionGraph:
         clone._principals = dict(self._principals)
         clone._trusted = dict(self._trusted)
         clone._edges = list(self._edges)
+        clone._edge_set = set(self._edge_set)
+        clone._incident = {p: list(es) for p, es in self._incident.items()}
+        clone._by_key = dict(self._by_key)
         clone._priority = set(self._priority)
         clone._multi_entitlements = {
             t: dict(m) for t, m in self._multi_entitlements.items()

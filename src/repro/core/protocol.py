@@ -140,11 +140,6 @@ class Protocol:
         return lines
 
 
-def _observable_at(action: Action, party: Party) -> bool:
-    """Whether *party* locally observes the completion of *action*."""
-    return action.effective_recipient == party
-
-
 def synthesize_protocol(
     interaction: InteractionGraph,
     sequence: ExecutionSequence,
@@ -160,22 +155,22 @@ def synthesize_protocol(
     interaction graph (their behaviour is data-independent of the order).
     """
     roles: dict[Party, list[SendInstruction]] = {}
+    # What each party has locally observed so far: the actions, in sequence
+    # order, whose effective recipient it is.
+    observed: dict[Party, list[Action]] = {}
     for step in sequence.steps:
-        if step.kind not in (StepKind.DEPOSIT, StepKind.INDEMNITY_DEPOSIT):
-            continue
-        sender = step.action.sender
-        if not sender.is_principal:
-            raise ProtocolError(
-                f"step {step.index} has trusted component {sender.name} as depositor"
+        if step.kind in (StepKind.DEPOSIT, StepKind.INDEMNITY_DEPOSIT):
+            sender = step.action.sender
+            if not sender.is_principal:
+                raise ProtocolError(
+                    f"step {step.index} has trusted component {sender.name} as depositor"
+                )
+            roles.setdefault(sender, []).append(
+                SendInstruction(
+                    step.index, step.action, frozenset(observed.get(sender, ()))
+                )
             )
-        preconditions = frozenset(
-            earlier.action
-            for earlier in sequence.steps
-            if earlier.index < step.index and _observable_at(earlier.action, sender)
-        )
-        roles.setdefault(sender, []).append(
-            SendInstruction(step.index, step.action, preconditions)
-        )
+        observed.setdefault(step.action.effective_recipient, []).append(step.action)
 
     trusted_specs: dict[Party, TrustedExchangeSpec] = {}
     indemnities_by_agent: dict[Party, list[IndemnityOffer]] = {}

@@ -174,7 +174,7 @@ class SequencingGraph:
         self._edges: tuple[SGEdge, ...] = tuple(edges)
         self._personas: frozenset[CommitmentNode] = frozenset(personas)
         self._interaction = interaction
-        self._validate()
+        self._index()
 
     # ------------------------------------------------------------ construction
 
@@ -195,14 +195,7 @@ class SequencingGraph:
         conjunctions = {
             party: ConjunctionNode(party) for party in interaction.internal_nodes()
         }
-        priority = interaction.priority_edges
         edges: list[SGEdge] = []
-        # Group interaction edges by trusted component once (insertion order
-        # preserved) instead of rescanning all edges per commitment — this
-        # keeps derivation O(E) for the large scaling workloads.
-        at_trusted: dict[Party, list[InteractionEdge]] = {}
-        for edge in interaction.edges:
-            at_trusted.setdefault(edge.trusted, []).append(edge)
         for edge, commitment in commitments.items():
             for endpoint in (edge.principal, edge.trusted):
                 conjunction = conjunctions.get(endpoint)
@@ -210,16 +203,14 @@ class SequencingGraph:
                     continue
                 color = (
                     EdgeColor.RED
-                    if endpoint == edge.principal and edge in priority
+                    if endpoint == edge.principal and interaction.is_priority(edge)
                     else EdgeColor.BLACK
                 )
                 edges.append(SGEdge(commitment, conjunction, color))
 
         personas: list[CommitmentNode] = []
         for edge, commitment in commitments.items():
-            others = [
-                other.principal for other in at_trusted[edge.trusted] if other != edge
-            ]
+            others = [other.principal for other in interaction.counterparts(edge)]
             if others and all(trust.trusts(q, edge.principal) for q in others):
                 personas.append(commitment)
 
@@ -231,30 +222,45 @@ class SequencingGraph:
             interaction,
         )
 
-    def _validate(self) -> None:
-        commitment_set = set(self._commitments)
-        conjunction_set = set(self._conjunctions)
-        if len(commitment_set) != len(self._commitments):
+    def _index(self) -> None:
+        """Validate the node and edge sets while building the query indices.
+
+        Each node's incident edges keep the order of ``edges``, so the
+        indexed queries return exactly what filtering ``edges`` would.
+        """
+        self._commitment_of = {c.edge: c for c in self._commitments}
+        self._conjunction_of = {j.agent: j for j in self._conjunctions}
+        if len(self._commitment_of) != len(self._commitments):
             raise GraphError("duplicate commitment nodes")
-        if len(conjunction_set) != len(self._conjunctions):
+        if len(self._conjunction_of) != len(self._conjunctions):
             raise GraphError("duplicate conjunction nodes")
-        seen: set[tuple[CommitmentNode, ConjunctionNode]] = set()
+        self._by_commitment: dict[CommitmentNode, list[SGEdge]] = {
+            c: [] for c in self._commitments
+        }
+        self._by_conjunction: dict[ConjunctionNode, list[SGEdge]] = {
+            j: [] for j in self._conjunctions
+        }
+        self._by_pair: dict[tuple[CommitmentNode, ConjunctionNode], SGEdge] = {}
         for edge in self._edges:
-            if edge.commitment not in commitment_set:
+            at_commitment = self._by_commitment.get(edge.commitment)
+            if at_commitment is None:
                 raise GraphError(f"edge references unknown commitment {edge.commitment.label!r}")
-            if edge.conjunction not in conjunction_set:
+            at_conjunction = self._by_conjunction.get(edge.conjunction)
+            if at_conjunction is None:
                 raise GraphError(f"edge references unknown conjunction {edge.conjunction.label!r}")
             key = (edge.commitment, edge.conjunction)
-            if key in seen:
+            if key in self._by_pair:
                 raise GraphError(
                     f"parallel sequencing edges between {edge.commitment.label!r} "
                     f"and {edge.conjunction.label!r}"
                 )
-            seen.add(key)
+            self._by_pair[key] = edge
+            at_commitment.append(edge)
+            at_conjunction.append(edge)
         # Sorted so the reported persona does not depend on set iteration
         # order (PYTHONHASHSEED) when several annotations are invalid.
         for persona in sorted(self._personas, key=lambda node: node.label):
-            if persona not in commitment_set:
+            if persona not in self._by_commitment:
                 raise GraphError(f"persona annotation on unknown commitment {persona.label!r}")
 
     # ----------------------------------------------------------------- queries
@@ -296,34 +302,34 @@ class SequencingGraph:
 
     def commitment_for(self, edge: InteractionEdge) -> CommitmentNode:
         """The commitment node of an interaction edge."""
-        for commitment in self._commitments:
-            if commitment.edge == edge:
-                return commitment
-        raise GraphError(f"no commitment for interaction edge {edge.label!r}")
+        commitment = self._commitment_of.get(edge)
+        if commitment is None:
+            raise GraphError(f"no commitment for interaction edge {edge.label!r}")
+        return commitment
 
     def conjunction_for(self, agent: Party) -> ConjunctionNode:
         """The conjunction node ``∧agent`` (raises if *agent* is not internal)."""
-        for conjunction in self._conjunctions:
-            if conjunction.agent == agent:
-                return conjunction
-        raise GraphError(f"no conjunction node for {agent.name!r}")
+        conjunction = self._conjunction_of.get(agent)
+        if conjunction is None:
+            raise GraphError(f"no conjunction node for {agent.name!r}")
+        return conjunction
 
     def edges_of_commitment(self, commitment: CommitmentNode) -> tuple[SGEdge, ...]:
-        """All edges incident to a commitment node."""
-        return tuple(e for e in self._edges if e.commitment == commitment)
+        """All edges incident to a commitment node, in edge order."""
+        return tuple(self._by_commitment.get(commitment, ()))
 
     def edges_of_conjunction(self, conjunction: ConjunctionNode) -> tuple[SGEdge, ...]:
-        """All edges incident to a conjunction node."""
-        return tuple(e for e in self._edges if e.conjunction == conjunction)
+        """All edges incident to a conjunction node, in edge order."""
+        return tuple(self._by_conjunction.get(conjunction, ()))
 
     def find_edge(self, commitment: CommitmentNode, conjunction: ConjunctionNode) -> SGEdge:
         """The unique edge between *commitment* and *conjunction*."""
-        for edge in self._edges:
-            if edge.commitment == commitment and edge.conjunction == conjunction:
-                return edge
-        raise GraphError(
-            f"no sequencing edge between {commitment.label!r} and {conjunction.label!r}"
-        )
+        edge = self._by_pair.get((commitment, conjunction))
+        if edge is None:
+            raise GraphError(
+                f"no sequencing edge between {commitment.label!r} and {conjunction.label!r}"
+            )
+        return edge
 
     def with_edges_removed(self, removed: Iterable[SGEdge]) -> "SequencingGraph":
         """A new graph lacking *removed* edges (used for indemnity splits)."""

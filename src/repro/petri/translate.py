@@ -67,9 +67,7 @@ def _done(component: Party) -> str:
 
 def _incoming_money(graph: InteractionGraph, principal: Party) -> InteractionEdge | None:
     """An edge through which *principal* is due to receive money, if any."""
-    for edge in graph.edges:
-        if edge.principal != principal:
-            continue
+    for edge in graph.edges_at(principal):
         expected = graph.expects(edge)
         if isinstance(expected, Money):
             return edge
@@ -87,16 +85,13 @@ def _deposit_guards(
     commitment = sg.commitment_for(edge)
     if commitment in sg.personas:
         return []
-    siblings = [
-        e for e in graph.edges if e.principal == edge.principal and e != edge
-    ]
+    siblings = [e for e in graph.edges_at(edge.principal) if e != edge]
     if not siblings or edge in split:
         return []
-    red = graph.priority_edges
-    red_siblings = [s for s in siblings if s in red]
+    red_siblings = [s for s in siblings if graph.is_priority(s)]
     if red_siblings:
         return [_assured(s) for s in red_siblings]
-    if edge in red:
+    if graph.is_priority(edge):
         return []
     # Pure bundle conjunction: all-or-nothing across the siblings.
     return [_assured(s) for s in siblings if s not in split]
@@ -122,7 +117,7 @@ def translate(
     insolvent: set[InteractionEdge] = set()
     funded: set[InteractionEdge] = set()
     for edge in graph.edges:
-        if not isinstance(edge.provides, Money) or edge not in graph.priority_edges:
+        if not isinstance(edge.provides, Money) or not graph.is_priority(edge):
             continue
         if _incoming_money(graph, edge.principal) is None:
             continue
@@ -136,14 +131,8 @@ def translate(
         if isinstance(edge.provides, Money):
             if edge not in insolvent:
                 initial[place] = initial.get(place, 0) + 1
-        else:
-            incoming = any(
-                graph.expects(other) == edge.provides
-                for other in graph.edges
-                if other.principal == edge.principal and other != edge
-            )
-            if not incoming:
-                initial[place] = 1
+        elif not graph.resells(edge):
+            initial[place] = 1
 
     for edge in graph.edges:
         guards = _deposit_guards(problem, sg, edge, split)

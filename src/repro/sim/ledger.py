@@ -217,20 +217,15 @@ def endow_from_interaction(
     for principal in interaction.principals:
         outlay = sum(
             e.provides.cents
-            for e in interaction.edges
-            if e.principal == principal and isinstance(e.provides, Money)
+            for e in interaction.edges_at(principal)
+            if isinstance(e.provides, Money)
         )
         ledger.endow_money(
             principal,
             outlay + working_capital_cents + extra_money.get(principal, 0),
         )
     for edge in interaction.edges:
-        if isinstance(edge.provides, Money):
+        if isinstance(edge.provides, Money) or interaction.resells(edge):
             continue
-        incoming = any(
-            interaction.expects(other) == edge.provides
-            for other in interaction.edges
-            if other.principal == edge.principal and other != edge
-        )
-        if not incoming and ledger.holder(edge.provides.label) is None:
+        if ledger.holder(edge.provides.label) is None:
             ledger.endow_document(edge.principal, edge.provides.label)

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.actions import Action
+from repro.core.actions import Action, transfer
 from repro.core.indemnity import splittable_conjunctions
 from repro.core.interaction import InteractionEdge
-from repro.core.items import Money
+from repro.core.items import Item, Money
 from repro.core.parties import Party
 from repro.core.problem import ExchangeProblem
 from repro.sim.runtime import SimulationResult
@@ -88,66 +88,58 @@ class SafetyReport:
         return lines
 
 
-def _delivered_pairs(delivered: list[Action]) -> list[Action]:
-    return [a for a in delivered if a.is_transfer]
+class _DeliveredIndex:
+    """The delivered transfers, indexed once for the per-edge checks."""
 
+    def __init__(self, delivered: list[Action]) -> None:
+        self.transfers: set[Action] = set()
+        # (sender, recipient, item) of every forward (non-inverted) transfer.
+        self.forward: set[tuple[Party, Party, Item]] = set()
+        # (effective recipient, item) of every forward transfer.
+        self.received: set[tuple[Party, Item]] = set()
+        # Indemnity escrow money forwarded (not refunded) to each party.
+        self.forfeits: dict[Party, int] = {}
+        for action in delivered:
+            if not action.is_transfer:
+                continue
+            self.transfers.add(action)
+            if action.inverted:
+                continue
+            assert action.item is not None
+            self.forward.add((action.sender, action.recipient, action.item))
+            self.received.add((action.effective_recipient, action.item))
+            if (
+                isinstance(action.item, Money)
+                and "indemnity" in action.item.label
+                and action.effective_sender.is_trusted
+            ):
+                party = action.effective_recipient
+                self.forfeits[party] = self.forfeits.get(party, 0) + action.item.cents
 
-def _gave_permanently(edge: InteractionEdge, transfers: list[Action]) -> bool:
-    """Deposit delivered to the trusted component and never reversed."""
-    deposit = None
-    for action in transfers:
-        if (
-            not action.inverted
-            and action.sender == edge.principal
-            and action.recipient == edge.trusted
-            and action.item == edge.provides
-        ):
-            deposit = action
-    if deposit is None:
-        return False
-    return deposit.inverse() not in transfers
-
-
-def _received_expected(
-    problem: ExchangeProblem, edge: InteractionEdge, transfers: list[Action]
-) -> bool:
-    expected = problem.interaction.expects(edge)
-    for action in transfers:
-        if action.inverted:
-            continue
-        if action.effective_recipient == edge.principal and action.item == expected:
-            return True
-    return False
-
-
-def _forfeits_received(party: Party, transfers: list[Action]) -> int:
-    """Indemnity escrow money forwarded (not refunded) to *party*."""
-    total = 0
-    for action in transfers:
-        if action.inverted or not isinstance(action.item, Money):
-            continue
-        if action.effective_recipient == party and "indemnity" in action.item.label:
-            if action.effective_sender.is_trusted:
-                total += action.item.cents
-    return total
+    def gave_permanently(self, edge: InteractionEdge) -> bool:
+        """Deposit delivered to the trusted component and never reversed."""
+        if (edge.principal, edge.trusted, edge.provides) not in self.forward:
+            return False
+        deposit = transfer(edge.principal, edge.trusted, edge.provides)
+        return deposit.inverse() not in self.transfers
 
 
 def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> SafetyReport:
     """Check every party's outcome against the acceptance criteria above."""
-    transfers = _delivered_pairs(result.delivered)
+    interaction = problem.interaction
+    delivered = _DeliveredIndex(result.delivered)
     bundle_principals = set(splittable_conjunctions(problem))
     verdicts: list[PartyVerdict] = []
 
-    for principal in problem.interaction.principals:
-        edges = [e for e in problem.interaction.edges if e.principal == principal]
+    for principal in interaction.principals:
         reasons: list[str] = []
         outcomes = [
             EdgeOutcome(
                 e,
-                _gave_permanently(e, transfers),
-                _received_expected(problem, e, transfers),
+                delivered.gave_permanently(e),
+                (e.principal, interaction.expects(e)) in delivered.received,
             )
-            for e in edges
+            for e in interaction.edges_at(principal)
         ]
         for outcome in outcomes:
             if not outcome.ok:
@@ -155,7 +147,7 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
                     f"gave {outcome.edge.provides} via {outcome.edge.trusted.name} "
                     "without receiving the counterpart"
                 )
-        forfeits = _forfeits_received(principal, transfers)
+        forfeits = delivered.forfeits.get(principal, 0)
         money_delta = result.money_delta(principal)
         if principal in bundle_principals:
             all_received = all(o.received_expected for o in outcomes)
@@ -180,10 +172,13 @@ def evaluate_safety(problem: ExchangeProblem, result: SimulationResult) -> Safet
             )
         )
 
-    for component in problem.interaction.trusted_components:
+    residues: dict[Party, list[str]] = {}
+    for label, holder in result.final.holdings.items():
+        residues.setdefault(holder, []).append(label)
+    for component in interaction.trusted_components:
         reasons = []
         delta = result.money_delta(component)
-        residue = result.final.documents_of(component)
+        residue = residues.get(component, [])
         if delta != 0:
             reasons.append(f"conduit retained {delta / 100:+.2f} in money")
         if residue:

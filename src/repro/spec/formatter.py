@@ -88,7 +88,7 @@ def format_problem(problem: ExchangeProblem) -> str:
 
     emitted_any = False
     for edge in graph.edges:
-        if edge in graph.priority_edges:
+        if graph.is_priority(edge):
             lines.append(f"priority {edge.principal.name} via {edge.trusted.name}")
             emitted_any = True
     for truster, trustee in problem.trust:

@@ -29,7 +29,7 @@ def interaction_to_dot(graph: InteractionGraph, title: str = "interaction") -> s
     for component in graph.trusted_components:
         lines.append(f"  {_quote(component.name)} [shape=box];")
     for edge in graph.edges:
-        style = ", style=bold, color=red" if edge in graph.priority_edges else ""
+        style = ", style=bold, color=red" if graph.is_priority(edge) else ""
         lines.append(
             f"  {_quote(edge.principal.name)} -- {_quote(edge.trusted.name)} "
             f'[label="{edge.provides}"{style}];'
