@@ -7,7 +7,7 @@ Three questions, answered on the 1024-broker ``resale_chain`` verdict bench
 
 1. **Disabled overhead** — the public entry points
    (:func:`~repro.core.flatcore.check_feasibility_flat`,
-   :func:`~repro.core.flatcore.run_reduction`) capture the active tracer
+   :func:`~repro.core.reduction.run_reduction`) capture the active tracer
    once and branch to the uninstrumented implementation when none is
    installed.  Comparing the public wrapper against a direct call of the
    private implementation measures exactly that guard; ``--assert-overhead``
@@ -31,12 +31,8 @@ import statistics
 import sys
 import time
 
-from repro.core.flatcore import compile_graph, run_reduction
-from repro.core.flatcore.runtime import (
-    _check_feasibility_impl,
-    _run_reduction_impl,
-    check_feasibility_flat,
-)
+from repro.core.flatcore.runtime import _check_feasibility_impl, check_feasibility_flat
+from repro.core.reduction import _run_reduction_impl, compile_graph, run_reduction
 from repro.obs import metrics_scope, tracing
 from repro.workloads import resale_chain
 

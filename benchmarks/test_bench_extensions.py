@@ -15,7 +15,7 @@ multi-reseller chains executable.
 
 from repro.core.execution import recover_execution
 from repro.core.mediation import hierarchy_study
-from repro.core.reduction import ReductionEngine, reduce_graph
+from repro.core.reduction import reduce_graph
 from repro.distributed import distributed_reduce
 from repro.workloads import (
     example1,
@@ -86,8 +86,8 @@ def test_bench_ablation_persona_clause(benchmark):
     graph = example2_source_trusts_broker().sequencing_graph()
 
     def run():
-        with_clause = ReductionEngine(graph, enable_persona_clause=True).run()
-        without = ReductionEngine(graph, enable_persona_clause=False).run()
+        with_clause = reduce_graph(graph, enable_persona_clause=True)
+        without = reduce_graph(graph, enable_persona_clause=False)
         return with_clause.feasible, without.feasible
 
     enabled, disabled = benchmark(run)

@@ -8,7 +8,7 @@ circled numbers) remove the source deposits and the conjunction edges of
 
 from conftest import figure4_initial_script
 
-from repro.core.reduction import replay
+from repro.core.reduction_reference import replay_reference
 from repro.core.sequencing import SequencingGraph
 from repro.workloads import example2
 
@@ -34,7 +34,7 @@ def test_bench_figure4_circled_eliminations(benchmark):
     sg = PROBLEM.sequencing_graph()
     script = figure4_initial_script(sg)
 
-    trace = benchmark(replay, sg, script)
+    trace = benchmark(replay_reference, sg, script)
     assert len(trace.steps) == 4
     assert len(trace.remaining) == 10
     assert not trace.feasible

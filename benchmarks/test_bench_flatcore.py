@@ -1,23 +1,16 @@
-"""FLATCORE — the compiled flat-array core against the indexed engine.
+"""FLATCORE — the compiled core's three phases and the verdict loop.
 
-Times the three flat paths (compile, free-order verdict, parity trace)
-next to the indexed engine at the same sizes as the SCALE bench, and the
-packed arena against one-at-a-time reduction for batches.  Every benchmark
-also asserts verdict correctness, so the numbers can't drift away from the
-semantics.  ``benchmarks/flatcore_bench.py`` is the standalone twin that
-writes ``BENCH_flatcore.json``.
+Times compile, the free-order verdict loop and the trace path (run +
+decompile) at the same sizes as the SCALE bench, and the verdict loop over a
+100-problem random batch.  Every benchmark also asserts verdict
+correctness, so the numbers can't drift away from the semantics.
 """
 
 import pytest
 
 from repro.analysis import batch_specs
-from repro.core.flatcore import (
-    check_feasibility_flat,
-    check_feasibility_flat_batch,
-    compile_graph,
-    reduce_graph_compiled,
-)
-from repro.core.reduction import reduce_graph
+from repro.core.flatcore import check_feasibility_flat, compile_graph
+from repro.core.reduction import decompile, run_reduction
 from repro.workloads import RandomProblemConfig, resale_chain
 
 SIZES = [64, 256, 1024]
@@ -46,32 +39,17 @@ def test_bench_flat_verdict_loop(benchmark, n_brokers):
 def test_bench_flat_trace_path(benchmark, n_brokers):
     sg = _chain_graph(n_brokers)
     compiled = compile_graph(sg)
-    trace = benchmark(reduce_graph_compiled, compiled)
+    trace = benchmark(lambda: decompile(compiled, run_reduction(compiled)))
     assert trace.feasible
     assert len(trace.steps) == len(sg.edges)
 
 
-@pytest.mark.parametrize("n_brokers", SIZES)
-def test_bench_indexed_reference_point(benchmark, n_brokers):
-    # The same graphs through the indexed engine, so each bench run carries
-    # its own comparison column.
-    sg = _chain_graph(n_brokers)
-    trace = benchmark(reduce_graph, sg)
-    assert trace.feasible
-
-
-@pytest.mark.parametrize("engine", ["indexed", "flat"])
-def test_bench_batch_throughput(benchmark, engine):
+def test_bench_batch_throughput(benchmark):
     specs = batch_specs(
         100,
         RandomProblemConfig(n_principals=12, n_exchanges=9, priority_probability=0.5),
         seed=0,
     )
     graphs = [spec.build().sequencing_graph() for spec in specs]
-
-    if engine == "flat":
-        verdicts = benchmark(check_feasibility_flat_batch, graphs)
-        assert len(verdicts) == 100
-    else:
-        traces = benchmark(lambda: [reduce_graph(g) for g in graphs])
-        assert len(traces) == 100
+    verdicts = benchmark(lambda: [check_feasibility_flat(g) for g in graphs])
+    assert len(verdicts) == 100

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 from repro.analysis.batch import parallel_map
@@ -35,15 +34,13 @@ class OrderingCost:
     offers: int
 
 
-def _ordering_cost_worker(
-    spec: tuple[tuple[float, ...], tuple[int, ...]], engine: str = "indexed"
-) -> OrderingCost:
+def _ordering_cost_worker(spec: tuple[tuple[float, ...], tuple[int, ...]]) -> OrderingCost:
     """Worker: rebuild the bundle and price one permutation of its members."""
     prices, permutation_indices = spec
     problem = broker_bundle(len(prices), prices)
     members = [e for e in problem.interaction.edges if e.principal == CONSUMER]
     permutation = [members[i] for i in permutation_indices]
-    plan = plan_indemnities(problem, permutation, engine=engine)
+    plan = plan_indemnities(problem, permutation)
     return OrderingCost(
         order=tuple(e.trusted.name for e in permutation),
         total_cents=plan.total_cents,
@@ -52,7 +49,7 @@ def _ordering_cost_worker(
 
 
 def ordering_costs(
-    prices: Sequence[float], processes: int | None = 1, engine: str = "indexed"
+    prices: Sequence[float], processes: int | None = 1
 ) -> list[OrderingCost]:
     """Escrow totals for every indemnification order of a bundle.
 
@@ -66,9 +63,7 @@ def ordering_costs(
         (prices, permutation)
         for permutation in itertools.permutations(range(len(prices)))
     ]
-    return parallel_map(
-        partial(_ordering_cost_worker, engine=engine), specs, processes=processes
-    )
+    return parallel_map(_ordering_cost_worker, specs, processes=processes)
 
 
 @dataclass(frozen=True)
@@ -89,17 +84,15 @@ class BundleScalingRow:
         return self.worst_cents / self.greedy_cents  # repro: noqa[MONEY001]
 
 
-def _bundle_scaling_worker(
-    spec: tuple[int, float], engine: str = "indexed"
-) -> BundleScalingRow:
+def _bundle_scaling_worker(spec: tuple[int, float]) -> BundleScalingRow:
     """Worker: greedy vs worst escrow for one bundle size."""
     k, base_price = spec
     prices = tuple(base_price * (i + 1) for i in range(k))
     problem = broker_bundle(k, prices)
-    greedy = minimal_indemnity_plan(problem, engine=engine)
+    greedy = minimal_indemnity_plan(problem)
     members = greedy_order(problem, CONSUMER)
     ascending = list(reversed(members))  # cheapest first = worst
-    worst = plan_indemnities(problem, ascending, engine=engine)
+    worst = plan_indemnities(problem, ascending)
     return BundleScalingRow(
         k=k,
         total_price_cents=sum(commitment_cost(e) for e in members),
@@ -112,7 +105,6 @@ def bundle_scaling(
     max_k: int = 5,
     base_price: float = 10.0,
     processes: int | None = 1,
-    engine: str = "indexed",
 ) -> list[BundleScalingRow]:
     """Greedy vs worst-order escrow as bundle size grows.
 
@@ -121,9 +113,7 @@ def bundle_scaling(
     uncovered last is never optimal).
     """
     specs = [(k, base_price) for k in range(2, max_k + 1)]
-    return parallel_map(
-        partial(_bundle_scaling_worker, engine=engine), specs, processes=processes
-    )
+    return parallel_map(_bundle_scaling_worker, specs, processes=processes)
 
 
 def figure7_table() -> list[str]:

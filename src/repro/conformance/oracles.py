@@ -4,14 +4,12 @@ Four independent realizations of the paper's semantics are run against the
 same problem and any disagreement outside the *documented* relations is a
 :class:`Discrepancy`:
 
-* **incremental reduction** (:func:`repro.core.reduction.reduce_graph`) vs
+* the **trace engine** (:func:`repro.core.reduction.reduce_graph`) vs
   the **naive reference engine**
   (:mod:`repro.core.reduction_reference`) — must be step-for-step identical
   across every strategy and with the §4.2.3 persona clause on and off;
-* the **compiled flat core** (:mod:`repro.core.flatcore`) — a third
-  differential arm: the parity engine must match the incremental trace
-  step for step under the same settings, and the free-order verdict loop
-  must land on the same feasibility/steps/remaining/blockage counts (the
+* the **free-order verdict loop** (:mod:`repro.core.flatcore`) — must land
+  on the fifo trace's feasibility/steps/remaining/blockage counts (the
   unique-normal-form claim of DESIGN.md §11, checked on every fuzz case);
 * **confluence** (§4.2) — the verdict and the residual-edge count must not
   depend on the strategy;
@@ -76,12 +74,12 @@ class OracleVerdicts:
 
     reduction_feasible: bool
     reference_feasible: bool
+    flat_feasible: bool  # the free-order verdict loop's answer
     petri_coverable: bool
     petri_gap: bool  # coverable but not shown feasible — documented §4.2.4
     simulated: bool
     simulation_safe: bool | None
     oversold: bool = False  # possession-blind verdict — documented limitation
-    flat_feasible: bool | None = None  # None when the flat arm was disabled
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -154,28 +152,21 @@ def cross_check(
     problem: ExchangeProblem,
     seed: int = 0,
     run_simulation: bool = True,
-    flat_arm: bool = True,
 ) -> CrossCheckResult:
     """Run *problem* through every oracle; flag any disagreement.
 
     ``seed`` drives the ``random`` reduction strategy (both engines see an
     identically seeded stream).  ``run_simulation=False`` skips the §5
     replay — the shrinker uses this to keep its inner loop fast when the
-    discrepancy under reduction is not a simulation one.  ``flat_arm=False``
-    skips the compiled-core differential arm (it is on by default; every
-    fuzz case then certifies the flat engine against the other two).
+    discrepancy under reduction is not a simulation one.
     """
     discrepancies: list[Discrepancy] = []
     reference_feasible = False
     base: ReductionTrace | None = None
-    # Compile once per problem: SGEdge/node values are equal across fresh
-    # sequencing_graph() builds, so flat traces compare cleanly against
-    # traces over per-iteration graphs.
-    compiled = flatcore.compile_graph(problem.sequencing_graph()) if flat_arm else None
 
     for persona in (True, False):
         for strategy in STRATEGIES:
-            incremental = reduce_graph(
+            trace = reduce_graph(
                 problem.sequencing_graph(),
                 strategy=strategy,
                 rng=random.Random(seed),
@@ -187,94 +178,69 @@ def cross_check(
                 rng=random.Random(seed),
                 enable_persona_clause=persona,
             )
-            if trace_key(incremental) != trace_key(reference):
+            if trace_key(trace) != trace_key(reference):
                 discrepancies.append(
                     Discrepancy(
                         "engine-divergence",
-                        f"strategy={strategy} persona={persona}: incremental "
-                        f"(feasible={incremental.feasible}, "
-                        f"steps={len(incremental.steps)}, "
-                        f"remaining={len(incremental.remaining)}) != reference "
+                        f"strategy={strategy} persona={persona}: engine "
+                        f"(feasible={trace.feasible}, "
+                        f"steps={len(trace.steps)}, "
+                        f"remaining={len(trace.remaining)}) != reference "
                         f"(feasible={reference.feasible}, "
                         f"steps={len(reference.steps)}, "
                         f"remaining={len(reference.remaining)})",
-                        trace_a=str(incremental),
+                        trace_a=str(trace),
                         trace_b=str(reference),
                     )
                 )
-            if compiled is not None:
-                flat = flatcore.reduce_graph_compiled(
-                    compiled,
-                    strategy=strategy,
-                    rng=random.Random(seed),
-                    enable_persona_clause=persona,
-                )
-                if trace_key(flat) != trace_key(incremental):
-                    discrepancies.append(
-                        Discrepancy(
-                            "flat-divergence",
-                            f"strategy={strategy} persona={persona}: flat "
-                            f"(feasible={flat.feasible}, "
-                            f"steps={len(flat.steps)}, "
-                            f"remaining={len(flat.remaining)}) != incremental "
-                            f"(feasible={incremental.feasible}, "
-                            f"steps={len(incremental.steps)}, "
-                            f"remaining={len(incremental.remaining)})",
-                            trace_a=str(flat),
-                            trace_b=str(incremental),
-                        )
-                    )
             if persona and strategy == "fifo":
-                base = incremental
+                base = trace
                 reference_feasible = reference.feasible
             elif persona and base is not None:
                 if (
-                    incremental.feasible != base.feasible
-                    or len(incremental.remaining) != len(base.remaining)
+                    trace.feasible != base.feasible
+                    or len(trace.remaining) != len(base.remaining)
                 ):
                     discrepancies.append(
                         Discrepancy(
                             "confluence",
                             f"strategy={strategy}: feasible="
-                            f"{incremental.feasible} remaining="
-                            f"{len(incremental.remaining)} but fifo gave "
+                            f"{trace.feasible} remaining="
+                            f"{len(trace.remaining)} but fifo gave "
                             f"feasible={base.feasible} remaining="
                             f"{len(base.remaining)}",
-                            trace_a=str(incremental),
+                            trace_a=str(trace),
                             trace_b=str(base),
                         )
                     )
     assert base is not None
 
-    flat_feasible: bool | None = None
-    if compiled is not None:
-        # The free-order verdict loop against the fifo base: same normal
-        # form, so same counts — not just the same boolean.
-        flat_verdict = flatcore.check_feasibility_flat(compiled)
-        flat_feasible = flat_verdict.feasible
-        base_counts = (
-            base.feasible,
-            len(base.steps),
-            len(base.remaining),
-            len(base.blockages),
-        )
-        flat_counts = (
-            flat_verdict.feasible,
-            flat_verdict.steps,
-            flat_verdict.remaining,
-            flat_verdict.blockages,
-        )
-        if flat_counts != base_counts:
-            discrepancies.append(
-                Discrepancy(
-                    "flat-divergence",
-                    "free-order verdict loop disagrees with the indexed "
-                    f"engine: flat (feasible, steps, remaining, blockages)="
-                    f"{flat_counts} != indexed {base_counts}",
-                    trace_a=repr(flat_verdict),
-                    trace_b=str(base),
-                )
+    # The free-order verdict loop against the fifo base: same normal form,
+    # so same counts — not just the same boolean.
+    flat_verdict = flatcore.check_feasibility_flat(problem.sequencing_graph())
+    base_counts = (
+        base.feasible,
+        len(base.steps),
+        len(base.remaining),
+        len(base.blockages),
+    )
+    flat_counts = (
+        flat_verdict.feasible,
+        flat_verdict.steps,
+        flat_verdict.remaining,
+        flat_verdict.blockages,
+    )
+    if flat_counts != base_counts:
+        discrepancies.append(
+            Discrepancy(
+                "flat-divergence",
+                "free-order verdict loop disagrees with the fifo trace: "
+                f"flat (feasible, steps, remaining, blockages)="
+                f"{flat_counts} != trace {base_counts}",
+                trace_a=repr(flat_verdict),
+                trace_b=str(base),
             )
+        )
 
     oversold = bool(oversold_documents(problem))
     petri = exchange_completable(problem)
@@ -363,6 +329,6 @@ def cross_check(
         simulated=simulated,
         simulation_safe=simulation_safe,
         oversold=oversold,
-        flat_feasible=flat_feasible,
+        flat_feasible=flat_verdict.feasible,
     )
     return CrossCheckResult(verdicts=verdicts, discrepancies=tuple(discrepancies))

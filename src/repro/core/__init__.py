@@ -6,9 +6,9 @@ Layered bottom-up:
 * trust — directed trust, personas (§4.2.3);
 * interaction — interaction graphs (§3);
 * sequencing — sequencing graphs (§4.1);
-* reduction / feasibility — Rules #1/#2 and the §4.2.4 test;
-* flatcore — the compiled flat-array reduction core (compile → run →
-  decompile) and the packed batch arena;
+* reduction / feasibility — Rules #1/#2 (compile → run → decompile) and
+  the §4.2.4 test;
+* flatcore — the free-order verdict loop for callers that need no trace;
 * execution — §5 execution-sequence recovery;
 * indemnity — §6 escrow planning;
 * protocol — per-party role synthesis for the simulator;
@@ -25,17 +25,7 @@ from repro.core.execution import (
     recover_execution,
 )
 from repro.core.feasibility import FeasibilityVerdict, Verdict, check_feasibility
-from repro.core.flatcore import (
-    ENGINES,
-    CompiledGraph,
-    FlatVerdict,
-    GraphArena,
-    check_feasibility_flat,
-    check_feasibility_flat_batch,
-    compile_graph,
-    reduce_graph_compiled,
-    reduce_graph_flat,
-)
+from repro.core.flatcore import FlatVerdict, check_feasibility_flat
 from repro.core.indemnity import (
     IndemnityOffer,
     IndemnityPlan,
@@ -72,12 +62,12 @@ from repro.core.parties import Party, Role, broker, consumer, producer, trusted
 from repro.core.problem import ExchangeProblem
 from repro.core.reduction import (
     Blockage,
-    ReductionEngine,
+    CompiledGraph,
     ReductionStep,
     ReductionTrace,
     Rule,
+    compile_graph,
     reduce_graph,
-    replay,
 )
 from repro.core.sequencing import (
     CommitmentNode,
@@ -107,15 +97,8 @@ __all__ = [
     "FeasibilityVerdict",
     "Verdict",
     "check_feasibility",
-    "ENGINES",
-    "CompiledGraph",
     "FlatVerdict",
-    "GraphArena",
     "check_feasibility_flat",
-    "check_feasibility_flat_batch",
-    "compile_graph",
-    "reduce_graph_compiled",
-    "reduce_graph_flat",
     "IndemnityOffer",
     "IndemnityPlan",
     "apply_plan",
@@ -157,12 +140,12 @@ __all__ = [
     "trusted",
     "ExchangeProblem",
     "Blockage",
-    "ReductionEngine",
+    "CompiledGraph",
     "ReductionStep",
     "ReductionTrace",
     "Rule",
+    "compile_graph",
     "reduce_graph",
-    "replay",
     "CommitmentNode",
     "ConjunctionNode",
     "EdgeColor",

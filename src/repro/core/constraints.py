@@ -6,15 +6,19 @@ can only forward a document after receiving it.  :class:`Constraint` captures
 one such pair; :func:`possession_constraints` derives the physically necessary
 ones ("a party cannot send a document that it does not have") from a set of
 transfers; and :func:`check_sequence` validates a total order against a
-constraint set.
+constraint set.  Both are linear in the number of actions and constraints:
+transfers are grouped by (item, recipient) and positions are looked up in one
+map per sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.actions import Action
+from repro.core.items import Item
+from repro.core.parties import Party
 from repro.errors import ModelError
 
 
@@ -35,18 +39,26 @@ class Constraint:
         A constraint is vacuously satisfied when ``later`` does not occur;
         if ``later`` occurs, ``earlier`` must occur before it.
         """
-        try:
-            later_index = sequence.index(self.later)
-        except ValueError:
+        return self.satisfied_at(first_positions(sequence))
+
+    def satisfied_at(self, positions: Mapping[Action, int]) -> bool:
+        """:meth:`satisfied_by`, given the sequence's :func:`first_positions`."""
+        later_index = positions.get(self.later)
+        if later_index is None:
             return True
-        try:
-            earlier_index = sequence.index(self.earlier)
-        except ValueError:
-            return False
-        return earlier_index < later_index
+        earlier_index = positions.get(self.earlier)
+        return earlier_index is not None and earlier_index < later_index
 
     def __str__(self) -> str:
         return f"{self.later} -> {self.earlier}"
+
+
+def first_positions(sequence: Sequence[Action]) -> dict[Action, int]:
+    """Each action's index of first occurrence (what ``list.index`` finds)."""
+    positions: dict[Action, int] = {}
+    for index, action in enumerate(sequence):
+        positions.setdefault(action, index)
+    return positions
 
 
 def possession_constraints(transfers: Iterable[Action]) -> set[Constraint]:
@@ -59,14 +71,15 @@ def possession_constraints(transfers: Iterable[Action]) -> set[Constraint]:
     explicitly rather than deriving it).
     """
     transfers = [t for t in transfers if t.is_transfer and not t.inverted]
+    inbound_by_holder: dict[tuple[Item | None, Party], list[Action]] = {}
+    for inbound in transfers:
+        inbound_by_holder.setdefault((inbound.item, inbound.recipient), []).append(inbound)
     constraints: set[Constraint] = set()
     for outbound in transfers:
         if outbound.item is None or outbound.item.is_money:
             continue
-        for inbound in transfers:
-            if inbound is outbound:
-                continue
-            if inbound.item == outbound.item and inbound.recipient == outbound.sender:
+        for inbound in inbound_by_holder.get((outbound.item, outbound.sender), ()):
+            if inbound is not outbound:
                 constraints.add(Constraint(later=outbound, earlier=inbound))
     return constraints
 
@@ -75,8 +88,8 @@ def check_sequence(
     sequence: Sequence[Action], constraints: Iterable[Constraint]
 ) -> list[Constraint]:
     """Return the constraints *violated* by a total order (empty = valid)."""
-    sequence = list(sequence)
-    return [c for c in constraints if not c.satisfied_by(sequence)]
+    positions = first_positions(sequence)
+    return [c for c in constraints if not c.satisfied_at(positions)]
 
 
 def topological_respects(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.actions import Action, notify, transfer
-from repro.core.constraints import Constraint, possession_constraints
+from repro.core.constraints import Constraint, check_sequence, possession_constraints
 from repro.core.interaction import InteractionGraph
 from repro.core.items import Item
 from repro.core.parties import Party
@@ -98,8 +98,7 @@ class ExecutionSequence:
         party ever sends a document it has not yet received.
         """
         constraints = possession_constraints(self.transfers) | set(extra)
-        sequence = list(self.actions)
-        return [c for c in constraints if not c.satisfied_by(sequence)]
+        return check_sequence(self.actions, constraints)
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -1,61 +1,66 @@
-"""Compiled flat-array reduction core: compile → run → decompile.
+"""The free-order verdict loop over compiled sequencing graphs.
 
-The indexed :class:`~repro.core.reduction.ReductionEngine` already made the
-§4.2 reduction incremental, but every step still walks frozen-dataclass
-nodes, hashes :class:`~repro.core.sequencing.SGEdge` objects, and allocates
-Python structures in the hot loop.  This package removes the object layer
-entirely for the hot path:
-
-* :mod:`repro.core.flatcore.compiler` — a one-time pass flattening a
-  :class:`~repro.core.sequencing.SequencingGraph` into CSR-style integer
-  arrays (``array('i')``/``bytearray`` only — no third-party dependency);
-* :mod:`repro.core.flatcore.runtime` — two loops over those arrays: a
-  **parity engine** (:func:`reduce_graph_flat`) that reproduces the indexed
-  engine *step for step* and decompiles back into a full
-  :class:`~repro.core.reduction.ReductionTrace`, and a **free-order verdict
-  loop** (:func:`check_feasibility_flat`) that answers only
-  feasible/steps/remaining/blockages with zero object allocation per edge;
-* :mod:`repro.core.flatcore.arena` — N problems packed into one arena so a
-  Monte-Carlo batch pays the interpreter's per-run set-up cost once
-  (:func:`check_feasibility_flat_batch`);
-* :mod:`repro.core.flatcore.report` — pure payload builders for the
-  ``BENCH_flatcore.json`` artifact (timing itself lives in ``benchmarks/``,
-  outside the determinism-linted core).
+:func:`check_feasibility_flat` is the production path for every caller that
+needs only the verdict and its counts (feasible, steps, remaining,
+blockages): the batch pipeline, the studies, the chaos gate and the
+indemnity planner's per-offer re-tests.  It runs over the same compiled form
+(:func:`compile_graph`) as the trace engine in :mod:`repro.core.reduction`.
 
 The free-order loop is safe because the reduction system has a **unique
 normal form** (DESIGN.md §11): eligibility of an edge is anti-monotone in
 the remaining-edge set, so every maximal reduction sequence strands exactly
 the same residual set — the verdict, step count, remaining count, and
-blockage diagnosis are all order-independent.  The parity engine plus the
-conformance engine's flat differential arm certify the claim empirically on
-every fuzz run.
+blockage diagnosis are all order-independent.  The conformance fuzzer
+checks the claim on every case against the fifo trace.
 """
 
-from repro.core.flatcore.arena import GraphArena, check_feasibility_flat_batch
-from repro.core.flatcore.compiler import CompiledGraph, compile_graph
-from repro.core.flatcore.report import bench_payload, speedup_table
-from repro.core.flatcore.runtime import (
-    ENGINES,
-    FlatRun,
-    FlatVerdict,
-    check_feasibility_flat,
-    reduce_graph_compiled,
-    reduce_graph_flat,
-    run_reduction,
+from __future__ import annotations
+
+import random
+from collections.abc import Iterable
+
+from repro.core.flatcore.runtime import FlatVerdict, check_feasibility_flat
+from repro.core.reduction import (
+    CompiledGraph,
+    ReductionTrace,
+    compile_graph,
+    reduce_graph,
 )
+from repro.core.sequencing import SequencingGraph
+
+
+# The end-to-end benchmark (e2ebench/layers.py) wraps the two names below by
+# module attribute, so they stay bound here as plain delegates.  Nothing in
+# the package calls them.
+
+
+def reduce_graph_flat(
+    graph: SequencingGraph,
+    strategy: str = "fifo",
+    rng: random.Random | None = None,
+    enable_persona_clause: bool = True,
+) -> ReductionTrace:
+    """Same as :func:`repro.core.reduction.reduce_graph`."""
+    return reduce_graph(graph, strategy, rng, enable_persona_clause)
+
+
+def check_feasibility_flat_batch(
+    graphs: Iterable[SequencingGraph | CompiledGraph],
+    *,
+    enable_persona_clause: bool = True,
+) -> list[FlatVerdict]:
+    """:func:`check_feasibility_flat` over each graph, in input order."""
+    return [
+        check_feasibility_flat(graph, enable_persona_clause=enable_persona_clause)
+        for graph in graphs
+    ]
+
 
 __all__ = [
-    "ENGINES",
     "CompiledGraph",
-    "FlatRun",
     "FlatVerdict",
-    "GraphArena",
-    "bench_payload",
     "check_feasibility_flat",
     "check_feasibility_flat_batch",
     "compile_graph",
-    "reduce_graph_compiled",
     "reduce_graph_flat",
-    "run_reduction",
-    "speedup_table",
 ]

@@ -1,51 +1,27 @@
-"""Run the flat form: parity engine, verdict loop, and decompilation.
+"""The free-order verdict loop over a compiled graph.
 
-Two loops share the compiled arrays but serve different contracts:
+:func:`check_feasibility_flat` answers only feasible / steps / remaining /
+blockages: a plain LIFO worklist with no heaps, no step records, and no
+object allocation per edge.  It may remove edges in a different order than
+any strategy of :func:`repro.core.reduction.reduce_graph`, which is safe
+because the reduction system has a unique normal form (DESIGN.md §11):
+every maximal sequence strands the same residual edge set, so all four
+counts are order-invariant.
 
-* :func:`run_reduction` is the **parity engine**.  It mirrors the indexed
-  :class:`~repro.core.reduction.ReductionEngine` *step for step* — same
-  strategy semantics (fifo/lifo/random over the same candidate heaps, the
-  same ``random.Random`` draw sequence, the same unknown-strategy error),
-  same ``via_persona`` flags, same disconnection orders — and its result
-  decompiles into a :class:`~repro.core.reduction.ReductionTrace` that is
-  value-equal to ``reduce_graph()``'s.  The property suite and the
-  conformance engine's flat differential arm enforce that equality.
-
-* :func:`check_feasibility_flat` is the **free-order verdict loop**: a
-  plain LIFO worklist with no heaps, no step records, and no object
-  allocation per edge.  It may remove edges in a different order than any
-  strategy, which is safe because the reduction system has a unique normal
-  form (DESIGN.md §11): every maximal sequence strands the same residual
-  edge set, so feasibility, step count, remaining count, and the blockage
-  diagnosis are order-invariant.
-
-Both loops find fringe survivors in O(1) with the id-sum trick: each node
-carries the sum of its live edge ids, so when a counter hits 1 the survivor
-is the sum.  The only row scan left is the rare red-count→0 event, which
-must wake every black edge parked behind the vanished reds.
+Fringe survivors are found in O(1) with the id-sum trick: each node carries
+the sum of its live edge ids, so when a counter hits 1 the survivor is the
+sum.  The only row scan left is the rare red-count→0 event, which must wake
+every black edge parked behind the vanished reds.
 """
 
 from __future__ import annotations
 
-import heapq
-import random
 from array import array
 from dataclasses import dataclass
 
-from repro.core.flatcore.compiler import CompiledGraph, compile_graph
-from repro.core.reduction import (
-    Blockage,
-    ReductionError,
-    ReductionStep,
-    ReductionTrace,
-    Rule,
-)
+from repro.core.reduction import CompiledGraph, compile_graph
 from repro.core.sequencing import SequencingGraph
 from repro.obs.runtime import active as _active_tracer
-from repro.obs.spans import Tracer
-
-ENGINES = ("indexed", "flat")
-"""Engine names accepted by the analysis layer and the CLI ``--engine`` flag."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,53 +34,34 @@ class FlatVerdict:
     blockages: int
 
 
-@dataclass(frozen=True)
-class FlatRun:
-    """Raw outcome of a parity-engine run, pre-decompilation.
-
-    ``steps`` tuples are ``(index, rule, edge, via_persona, commitment_done,
-    conjunction_done)`` with ``-1`` for "no node disconnected".
-    """
-
-    steps: list[tuple[int, int, int, bool, int, int]]
-    alive: bytearray
-    cc: array[int]
-    jc: array[int]
-    rj: array[int]
-    per: bytearray
-    commitment_order: list[int]
-    conjunction_order: list[int]
-
-
-def run_reduction(
-    compiled: CompiledGraph,
-    strategy: str = "fifo",
-    rng: random.Random | None = None,
+def check_feasibility_flat(
+    graph: SequencingGraph | CompiledGraph,
+    *,
     enable_persona_clause: bool = True,
-) -> FlatRun:
-    """Reduce the compiled graph step-for-step like the indexed engine."""
+) -> FlatVerdict:
+    """Feasibility verdict via the free-order loop (no trace built).
+
+    Observability wraps only this function boundary: the drain loop itself
+    carries no per-edge instrumentation, so the disabled-tracing overhead is
+    a single ``active()`` call per verdict.
+    """
+    compiled = graph if isinstance(graph, CompiledGraph) else compile_graph(graph)
     obs = _active_tracer()
     if obs is None:
-        return _run_reduction_impl(compiled, strategy, rng, enable_persona_clause, None)
-    with obs.span(
-        "reduce.flat", {"edges": compiled.n_edges, "strategy": strategy}
-    ) as span_id:
-        run = _run_reduction_impl(compiled, strategy, rng, enable_persona_clause, obs)
-        remaining = run.alive.count(1)
-        obs.set_attr(span_id, "feasible", remaining == 0)
-        obs.set_attr(span_id, "survivors", remaining)
-    obs.metrics.histogram("reduction.survivors").observe(remaining)
-    obs.verdict(remaining == 0)
-    return run
+        return _check_feasibility_impl(compiled, enable_persona_clause)
+    with obs.span("verdict.flat", {"edges": compiled.n_edges}) as span_id:
+        verdict = _check_feasibility_impl(compiled, enable_persona_clause)
+        obs.set_attr(span_id, "feasible", verdict.feasible)
+        obs.set_attr(span_id, "survivors", verdict.remaining)
+    obs.metrics.inc("reduction.free_order_steps", verdict.steps)
+    obs.metrics.histogram("reduction.survivors").observe(verdict.remaining)
+    obs.verdict(verdict.feasible)
+    return verdict
 
 
-def _run_reduction_impl(
-    compiled: CompiledGraph,
-    strategy: str,
-    rng: random.Random | None,
-    enable_persona_clause: bool,
-    obs: Tracer | None,
-) -> FlatRun:
+def _check_feasibility_impl(
+    compiled: CompiledGraph, enable_persona_clause: bool
+) -> FlatVerdict:
     n_e = compiled.n_edges
     ec = compiled.edge_commitment
     ej = compiled.edge_conjunction
@@ -120,236 +77,9 @@ def _run_reduction_impl(
     jrsum = array("q", compiled.jrsum0)
     alive = bytearray(b"\x01") * n_e
     elig = bytearray(n_e)
-    seeds = compiled.seeds_on if enable_persona_clause else compiled.seeds_off
-    commitment_order = [c for c in range(compiled.n_commitments) if cc[c] == 0]
-    conjunction_order = [j for j in range(compiled.n_conjunctions) if jc[j] == 0]
-    steps: list[tuple[int, int, int, bool, int, int]] = []
-
-    def remove(e: int, rule: int) -> list[int]:
-        """Apply one rule, record the step, return newly eligible edges."""
-        c = ec[e]
-        j = ej[e]
-        # via_persona is computed before the decrement: the indexed engine
-        # reports it from the candidate flags current at apply time.
-        via_persona = rule == 1 and per[c] != 0 and rj[j] > red[e]
-        alive[e] = 0
-        newly: list[int] = []
-        n = cc[c] - 1
-        cc[c] = n
-        s = csum[c] - e
-        csum[c] = s
-        c_done = -1
-        j_done = -1
-        if n == 0:
-            c_done = c
-            commitment_order.append(c)
-        elif n == 1 and not elig[s]:
-            j2 = ej[s]
-            if per[c] != 0 or rj[j2] == red[s] or jc[j2] == 1:
-                elig[s] = 1
-                newly.append(s)
-        m = jc[j] - 1
-        jc[j] = m
-        t = jsum[j] - e
-        jsum[j] = t
-        if m == 0:
-            j_done = j
-            conjunction_order.append(j)
-        elif m == 1 and not elig[t]:
-            elig[t] = 1
-            newly.append(t)
-        if red[e]:
-            r = rj[j] - 1
-            rj[j] = r
-            u = jrsum[j] - e
-            jrsum[j] = u
-            if r == 1:
-                # One red left at j: that red itself is now unblocked.
-                if not elig[u] and cc[ec[u]] == 1:
-                    elig[u] = 1
-                    newly.append(u)
-            elif r == 0 and m > 0:
-                # Last red gone: every surviving black fringe edge at j wakes.
-                for e2 in j_adj[j_off[j] : j_off[j + 1]]:
-                    if alive[e2] and not elig[e2] and cc[ec[e2]] == 1:
-                        elig[e2] = 1
-                        newly.append(e2)
-        steps.append((len(steps) + 1, rule, e, via_persona, c_done, j_done))
-        return newly
-
-    if strategy == "fifo" or strategy == "lifo":
-        sign = 1 if strategy == "fifo" else -1
-        heap = [sign * e for e in seeds]
-        heapq.heapify(heap)
-        for e in seeds:
-            elig[e] = 1
-        while heap:
-            e = sign * heapq.heappop(heap)
-            if not alive[e]:
-                continue
-            # Recompute the rule from live counters: eligibility is
-            # monotone, but *which* rule applies can shift between push
-            # and pop, and the indexed engine always reads fresh flags.
-            c = ec[e]
-            j = ej[e]
-            if strategy == "fifo":
-                rule = 1 if cc[c] == 1 and (per[c] != 0 or rj[j] == red[e]) else 2
-            else:
-                rule = 2 if jc[j] == 1 else 1
-            newly = remove(e, rule)
-            if obs is not None:
-                obs.rule_firing(
-                    f"rule{rule}", edge=e, depth=len(heap), persona=steps[-1][3]
-                )
-            for new_edge in newly:
-                heapq.heappush(heap, sign * new_edge)
-    elif strategy == "random":
-        if rng is None:
-            rng = random.Random(0)
-        cand = set(seeds)
-        for e in cand:
-            elig[e] = 1
-        while cand:
-            options: list[tuple[int, int]] = []
-            for e in sorted(cand):
-                c = ec[e]
-                j = ej[e]
-                if cc[c] == 1 and (per[c] != 0 or rj[j] == red[e]):
-                    options.append((1, e))
-                if jc[j] == 1:
-                    options.append((2, e))
-            rule, e = rng.choice(options)
-            cand.discard(e)
-            newly = remove(e, rule)
-            if obs is not None:
-                obs.rule_firing(
-                    f"rule{rule}", edge=e, depth=len(cand), persona=steps[-1][3]
-                )
-            cand.update(newly)
-    elif seeds:
-        raise ReductionError(f"unknown reduction strategy {strategy!r}")
-
-    return FlatRun(
-        steps=steps,
-        alive=alive,
-        cc=cc,
-        jc=jc,
-        rj=rj,
-        per=bytearray(per),
-        commitment_order=commitment_order,
-        conjunction_order=conjunction_order,
-    )
-
-
-def decompile(compiled: CompiledGraph, run: FlatRun) -> ReductionTrace:
-    """Lift a flat run back into the object-level trace contract."""
-    graph = compiled.graph
-    edges = graph.edges
-    commitments = graph.commitments
-    conjunctions = graph.conjunctions
-    ec = compiled.edge_commitment
-    ej = compiled.edge_conjunction
-    red = compiled.edge_red
-    j_off = compiled.j_off
-    j_adj = compiled.j_adj
-    alive = run.alive
-
-    steps = tuple(
-        ReductionStep(
-            index=index,
-            rule=Rule(rule),
-            edge=edges[e],
-            via_persona=via_persona,
-            commitment_disconnected=None if c_done < 0 else commitments[c_done],
-            conjunction_disconnected=None if j_done < 0 else conjunctions[j_done],
-        )
-        for index, rule, e, via_persona, c_done, j_done in run.steps
-    )
-    live_ids = [e for e in range(compiled.n_edges) if alive[e]]
-    remaining = frozenset(edges[e] for e in live_ids)
-
-    blockages: list[Blockage] = []
-    if live_ids:
-        index_of = {edges[e]: e for e in live_ids}
-        for edge in sorted(remaining):
-            e = index_of[edge]
-            c = ec[e]
-            j = ej[e]
-            if run.cc[c] != 1:
-                continue  # not on the commitment fringe
-            if run.rj[j] - red[e] == 0:
-                continue  # no blocking reds
-            if run.per[c]:
-                continue  # §4.2.3 persona waiver applies
-            blocking = tuple(
-                edges[e2]
-                for e2 in j_adj[j_off[j] : j_off[j + 1]]
-                if alive[e2] and red[e2] and ec[e2] != c
-            )
-            blockages.append(Blockage(edge=edge, blocking_red=blocking))
-
-    return ReductionTrace(
-        graph=graph,
-        steps=steps,
-        remaining=remaining,
-        commitment_order=tuple(commitments[c] for c in run.commitment_order),
-        conjunction_order=tuple(conjunctions[j] for j in run.conjunction_order),
-        blockages=tuple(blockages),
-    )
-
-
-def reduce_graph_compiled(
-    compiled: CompiledGraph,
-    strategy: str = "fifo",
-    rng: random.Random | None = None,
-    enable_persona_clause: bool = True,
-) -> ReductionTrace:
-    """``reduce_graph`` over an already-compiled graph (compile amortized)."""
-    run = run_reduction(
-        compiled, strategy=strategy, rng=rng, enable_persona_clause=enable_persona_clause
-    )
-    return decompile(compiled, run)
-
-
-def reduce_graph_flat(
-    graph: SequencingGraph,
-    strategy: str = "fifo",
-    rng: random.Random | None = None,
-    enable_persona_clause: bool = True,
-) -> ReductionTrace:
-    """Drop-in replacement for :func:`repro.core.reduction.reduce_graph`."""
-    return reduce_graph_compiled(
-        compile_graph(graph),
-        strategy=strategy,
-        rng=rng,
-        enable_persona_clause=enable_persona_clause,
-    )
-
-
-def verdict_pass(
-    ec: array[int],
-    ej: array[int],
-    red: bytearray,
-    per: bytearray,
-    j_off: array[int],
-    j_adj: array[int],
-    cc: array[int],
-    jc: array[int],
-    rj: array[int],
-    csum: array[int],
-    jsum: array[int],
-    jrsum: array[int],
-    alive: bytearray,
-    elig: bytearray,
-    stack: list[int],
-) -> None:
-    """Drain a pre-seeded worklist to the unique normal form (in place).
-
-    The caller owns the scratch arrays and has already marked the seeded
-    edges eligible; on return ``alive`` is the residual set and the count
-    arrays describe it.  Shared by the single-graph verdict path and the
-    packed arena (which calls it once per problem over disjoint id ranges).
-    """
+    stack = list(compiled.seeds_on if enable_persona_clause else compiled.seeds_off)
+    for e in stack:
+        elig[e] = 1
     push = stack.append
     pop = stack.pop
     while stack:
@@ -388,108 +118,18 @@ def verdict_pass(
                         elig[e2] = 1
                         push(e2)
 
-
-def count_blockages(
-    ec: array[int],
-    ej: array[int],
-    red: bytearray,
-    per: bytearray,
-    cc: array[int],
-    rj: array[int],
-    alive: bytearray,
-    lo: int,
-    hi: int,
-) -> int:
-    """Residual edges that are commitment-fringe, red-blocked, not waived.
-
-    Matches the indexed engine's ``_diagnose`` count exactly: an alive edge
-    is a blockage iff its commitment is on the fringe, at least one *other*
-    red survives at its conjunction, and no persona waiver applies.
-    """
-    blocked = 0
-    e = alive.find(1, lo, hi)
+    # A residual edge is a blockage iff its commitment is on the fringe, at
+    # least one *other* red survives at its conjunction, and no persona
+    # waiver applies — the same test the trace's diagnosis makes.
+    remaining = 0
+    blockages = 0
+    e = alive.find(1)
     while e != -1:
+        remaining += 1
         c = ec[e]
         if cc[c] == 1 and not per[c] and rj[ej[e]] > red[e]:
-            blocked += 1
-        e = alive.find(1, e + 1, hi)
-    return blocked
-
-
-def check_feasibility_flat(
-    graph: SequencingGraph | CompiledGraph,
-    *,
-    enable_persona_clause: bool = True,
-) -> FlatVerdict:
-    """Feasibility verdict via the free-order loop (no trace built).
-
-    Observability wraps only this function boundary: the drain loop itself
-    (:func:`verdict_pass`) carries no per-edge instrumentation, so the
-    disabled-tracing overhead on the verdict bench is a single ``active()``
-    call per verdict.
-    """
-    compiled = graph if isinstance(graph, CompiledGraph) else compile_graph(graph)
-    obs = _active_tracer()
-    if obs is None:
-        return _check_feasibility_impl(compiled, enable_persona_clause)
-    with obs.span("verdict.flat", {"edges": compiled.n_edges}) as span_id:
-        verdict = _check_feasibility_impl(compiled, enable_persona_clause)
-        obs.set_attr(span_id, "feasible", verdict.feasible)
-        obs.set_attr(span_id, "survivors", verdict.remaining)
-    obs.metrics.inc("reduction.free_order_steps", verdict.steps)
-    obs.metrics.histogram("reduction.survivors").observe(verdict.remaining)
-    obs.verdict(verdict.feasible)
-    return verdict
-
-
-def _check_feasibility_impl(
-    compiled: CompiledGraph, enable_persona_clause: bool
-) -> FlatVerdict:
-    n_e = compiled.n_edges
-    per = compiled.persona if enable_persona_clause else bytearray(compiled.n_commitments)
-    cc = array("i", compiled.cc0)
-    jc = array("i", compiled.jc0)
-    rj = array("i", compiled.rj0)
-    csum = array("q", compiled.csum0)
-    jsum = array("q", compiled.jsum0)
-    jrsum = array("q", compiled.jrsum0)
-    alive = bytearray(b"\x01") * n_e
-    elig = bytearray(n_e)
-    seeds = compiled.seeds_on if enable_persona_clause else compiled.seeds_off
-    stack = list(seeds)
-    for e in stack:
-        elig[e] = 1
-    verdict_pass(
-        compiled.edge_commitment,
-        compiled.edge_conjunction,
-        compiled.edge_red,
-        per,
-        compiled.j_off,
-        compiled.j_adj,
-        cc,
-        jc,
-        rj,
-        csum,
-        jsum,
-        jrsum,
-        alive,
-        elig,
-        stack,
-    )
-    remaining = alive.count(1)
-    blockages = 0
-    if remaining:
-        blockages = count_blockages(
-            compiled.edge_commitment,
-            compiled.edge_conjunction,
-            compiled.edge_red,
-            per,
-            cc,
-            rj,
-            alive,
-            0,
-            n_e,
-        )
+            blockages += 1
+        e = alive.find(1, e + 1)
     return FlatVerdict(
         feasible=remaining == 0,
         steps=n_e - remaining,

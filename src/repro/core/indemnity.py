@@ -33,7 +33,7 @@ from repro.core.feasibility import FeasibilityVerdict, Verdict
 from repro.core.interaction import InteractionEdge
 from repro.core.items import cents as make_cents
 from repro.core.parties import Party
-from repro.core.flatcore import ENGINES, reduce_graph_flat
+from repro.core.flatcore import check_feasibility_flat
 from repro.core.problem import ExchangeProblem
 from repro.core.reduction import reduce_graph
 from repro.core.sequencing import ConjunctionNode, SequencingGraph
@@ -197,7 +197,6 @@ def plan_indemnities(
     order: list[InteractionEdge] | tuple[InteractionEdge, ...],
     agent: Party | None = None,
     stop_when_feasible: bool = True,
-    engine: str = "indexed",
 ) -> IndemnityPlan:
     """Split bundle members in *order*, re-testing feasibility after each.
 
@@ -206,15 +205,10 @@ def plan_indemnities(
     the planner stops at the first verdict of feasible — matching §6, where
     the customer proceeds once enough pieces are indemnified.
 
-    ``engine="flat"`` runs every re-test through the compiled core
-    (:func:`repro.core.flatcore.reduce_graph_flat`); the resulting plan and
-    verdict trace are value-identical to the indexed engine's.
+    Each re-test needs only the verdict, so it runs the free-order loop
+    (:func:`repro.core.flatcore.check_feasibility_flat`); the trace behind
+    the returned verdict is built once, for the final graph.
     """
-    if engine not in ENGINES:
-        raise IndemnityError(
-            f"unknown engine {engine!r}: expected one of {', '.join(ENGINES)}"
-        )
-    reduce = reduce_graph_flat if engine == "flat" else reduce_graph
     if not order:
         raise IndemnityError("indemnification order must name at least one commitment")
     agent = agent if agent is not None else order[0].principal
@@ -232,14 +226,15 @@ def plan_indemnities(
     sg = problem.sequencing_graph()
     conjunction = _conjunction_of(sg, agent)
     offers: list[IndemnityOffer] = []
-    trace = reduce(sg)
+    feasible = check_feasibility_flat(sg).feasible
     for edge in order:
-        if trace.feasible and stop_when_feasible:
+        if feasible and stop_when_feasible:
             break
         offers.append(offer_for(problem, edge))
         sg_edge = sg.find_edge(sg.commitment_for(edge), conjunction)
         sg = sg.with_edges_removed([sg_edge])
-        trace = reduce(sg)
+        feasible = check_feasibility_flat(sg).feasible
+    trace = reduce_graph(sg)
     verdict = FeasibilityVerdict(
         verdict=Verdict.FEASIBLE if trace.feasible else Verdict.NOT_SHOWN_FEASIBLE,
         trace=trace,
@@ -259,7 +254,7 @@ def greedy_order(problem: ExchangeProblem, agent: Party) -> list[InteractionEdge
 
 
 def minimal_indemnity_plan(
-    problem: ExchangeProblem, agent: Party | None = None, engine: str = "indexed"
+    problem: ExchangeProblem, agent: Party | None = None
 ) -> IndemnityPlan:
     """The greedy minimum-escrow plan for *agent*'s bundle.
 
@@ -274,9 +269,7 @@ def minimal_indemnity_plan(
                 f"{[p.name for p in candidates]}; pass agent= explicitly"
             )
         agent = candidates[0]
-    return plan_indemnities(
-        problem, greedy_order(problem, agent), agent=agent, engine=engine
-    )
+    return plan_indemnities(problem, greedy_order(problem, agent), agent=agent)
 
 
 def brute_force_minimal_plan(

@@ -14,41 +14,30 @@ Two reduction rules remove edges from a sequencing graph:
 
 Reductions "may be done in a greedy fashion — any applicable reduction may be
 applied at any time, in any order" and the feasibility verdict is
-order-independent (§4.2.4); the property-based tests exercise exactly this
-confluence claim.  The engine therefore supports both automatic strategies
-(``fifo``, ``lifo``, ``random``) and scripted step-by-step replay (used by the
-benchmarks to replay the paper's circled elimination orders).
+order-independent (§4.2.4).  :func:`reduce_graph` supports three automatic
+strategies over the applicable steps, listed in graph-edge order with Rule #1
+before Rule #2 per edge: ``fifo`` (the first), ``lifo`` (the last) and
+``random`` (a seeded draw).
 
 A reduced graph is **feasible** iff no edges remain (§4.2.4).  When edges do
 remain the trace carries a :class:`Blockage` diagnosis: which fringe
 commitments are pre-empted by which red edges — the raw material for the
 indemnity planner (§6).
 
-Performance
------------
+Implementation: compile → run → decompile
+-----------------------------------------
 
-The engine is the hot path of every feasibility verdict, confluence property
-test, indemnity plan, and Monte-Carlo study, so it maintains **incremental
-adjacency indices** over the remaining-edge set instead of rescanning it:
+:func:`reduce_graph` is the one trace engine.  :func:`compile_graph`
+flattens the graph once into integer arrays (O(V + E)); :func:`run_reduction`
+removes edges with a heap worklist over those arrays, finding each fringe
+survivor in O(1) with an id-sum trick; :func:`decompile` lifts the run back
+into a :class:`ReductionTrace`.  A full reduction is O(E log E).
 
-* per-commitment and per-conjunction remaining-edge counts (fringe tests are
-  O(1));
-* a per-conjunction red-edge counter plus per-``(conjunction, commitment)``
-  red counts, making ``blocking_red_edges`` cardinality and Rule #1 clause-1
-  checks O(1);
-* a **dirty-candidate worklist**: after each :meth:`apply` only the edges
-  incident to the removed edge's commitment and conjunction are re-checked
-  for rule eligibility — no other edge's eligibility can have changed —
-  and the currently-applicable set is kept in lazily-invalidated min/max
-  heaps for the deterministic strategies.
-
-A full :meth:`run` is therefore O(E · (max-degree + log E)) instead of the
-naive O(E³), while reproducing the naive engine's behavior *step for step*
-(``fifo``/``lifo``/``random`` orderings, the persona clause, scripted
-:func:`replay`, and :class:`Blockage` diagnosis).  The original
-rescan-everything engine is retained verbatim in
-:mod:`repro.core.reduction_reference` as the equivalence oracle for the
-property suite, and ``benchmarks/test_bench_scaling.py`` measures the gap.
+The naive rescan-everything engine in :mod:`repro.core.reduction_reference`
+is the oracle: the reference-equivalence suites and the conformance fuzzer
+require this engine's traces to equal its traces step for step, for every
+strategy, with the persona clause on and off.  Callers that need only the
+verdict use the free-order loop in :mod:`repro.core.flatcore` instead.
 """
 
 from __future__ import annotations
@@ -56,8 +45,8 @@ from __future__ import annotations
 import enum
 import heapq
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from repro.core.sequencing import (
     CommitmentNode,
@@ -67,6 +56,7 @@ from repro.core.sequencing import (
 )
 from repro.errors import ReductionError
 from repro.obs.runtime import active as _active_tracer
+from repro.obs.spans import Tracer
 
 
 class Rule(enum.IntEnum):
@@ -166,381 +156,406 @@ class ReductionTrace:
         return "\n".join(lines)
 
 
-class ReductionEngine:
-    """Mutable reduction state over an (immutable) sequencing graph.
+# --------------------------------------------------------------- compile
+#
+# Layout of the compiled form (all stdlib containers — no numpy in core):
+#
+# * ``edge_commitment`` / ``edge_conjunction`` — ``array('i')`` of length E
+#   mapping edge id → node id, in ``graph.edges`` order (so edge id *i* is
+#   exactly ``graph.edges[i]``, which keeps decompilation a tuple lookup).
+# * ``edge_red`` — ``bytearray`` color mask (1 = red / priority obligation).
+# * ``persona`` — ``bytearray`` over commitments (1 = §4.2.3 persona, i.e.
+#   the trusted-principal waiver *may* apply at that commitment node).
+# * ``j_off``/``j_adj`` — CSR adjacency: the edges incident to conjunction
+#   ``j`` are ``j_adj[j_off[j]:j_off[j + 1]]``, in ``graph.edges`` order
+#   (the order blockages list their blocking reds in).  Commitments need no
+#   rows: a commitment's survivor is always found by its id sum.
+# * ``cc0``/``jc0``/``rj0`` — initial live-edge counts per commitment, per
+#   conjunction, and initial *red* live-edge counts per conjunction.  An
+#   edge's blocking-red count is ``rj[j] - red[e]`` (parallel edges are
+#   rejected by ``SequencingGraph``, so an edge sees at most one red of its
+#   own at its conjunction — itself).
+# * ``csum0``/``jsum0``/``jrsum0`` — sums of live edge *ids* per node
+#   (``array('q')``: id sums exceed 32 bits at 16k-broker scale).  When a
+#   counter drops to 1 the surviving edge id is exactly the sum, so fringe
+#   survivors are found in O(1) without scanning adjacency rows.
+# * ``seeds_on``/``seeds_off`` — edge ids initially eligible under Rule 1 or
+#   Rule 2, with the persona clause enabled/disabled, in edge-id order.
 
-    Use :meth:`applicable` to enumerate legal steps, :meth:`apply` /
-    :meth:`apply_edge` to perform one, and :meth:`run` for an automatic
-    greedy reduction.  :func:`reduce_graph` is the one-call convenience.
 
-    Internally the engine indexes edges by their position in
-    ``graph.edges`` (the deterministic order all strategies are defined
-    over) and keeps every fringe/pre-emption test O(1); see the module
-    docstring for the data structures.
+@dataclass(frozen=True)
+class CompiledGraph:
+    """The flat form of one sequencing graph.  Treat every field read-only;
+    the reduction loops copy the mutable counters before reducing."""
+
+    graph: SequencingGraph
+    n_edges: int
+    n_commitments: int
+    n_conjunctions: int
+    edge_commitment: array[int]
+    edge_conjunction: array[int]
+    edge_red: bytearray
+    persona: bytearray
+    j_off: array[int]
+    j_adj: array[int]
+    cc0: array[int]
+    jc0: array[int]
+    rj0: array[int]
+    csum0: array[int]
+    jsum0: array[int]
+    jrsum0: array[int]
+    seeds_on: array[int]
+    seeds_off: array[int]
+
+
+def _csr(rows: list[list[int]]) -> tuple[array[int], array[int]]:
+    offsets = array("i", [0])
+    adjacency: array[int] = array("i")
+    total = 0
+    for row in rows:
+        total += len(row)
+        offsets.append(total)
+        adjacency.extend(row)
+    return offsets, adjacency
+
+
+def compile_graph(graph: SequencingGraph) -> CompiledGraph:
+    """Flatten ``graph`` into the dense integer form described above."""
+    edges = graph.edges
+    commitments = graph.commitments
+    conjunctions = graph.conjunctions
+    n_e = len(edges)
+    n_c = len(commitments)
+    n_j = len(conjunctions)
+
+    cidx = {node: i for i, node in enumerate(commitments)}
+    jidx = {node: i for i, node in enumerate(conjunctions)}
+
+    ec_list = [0] * n_e
+    ej_list = [0] * n_e
+    red = bytearray(n_e)
+    c_rows: list[list[int]] = [[] for _ in range(n_c)]
+    j_rows: list[list[int]] = [[] for _ in range(n_j)]
+    for i, edge in enumerate(edges):
+        ci = cidx[edge.commitment]
+        ji = jidx[edge.conjunction]
+        ec_list[i] = ci
+        ej_list[i] = ji
+        c_rows[ci].append(i)
+        j_rows[ji].append(i)
+        if edge.is_red:
+            red[i] = 1
+
+    persona = bytearray(n_c)
+    for node in graph.personas:
+        persona[cidx[node]] = 1
+
+    cc0 = [len(row) for row in c_rows]
+    jc0 = [len(row) for row in j_rows]
+    rj0 = [0] * n_j
+    jrsum0 = [0] * n_j
+    for i in range(n_e):
+        if red[i]:
+            j = ej_list[i]
+            rj0[j] += 1
+            jrsum0[j] += i
+    csum0 = [sum(row) for row in c_rows]
+    jsum0 = [sum(row) for row in j_rows]
+
+    seeds_on: list[int] = []
+    seeds_off: list[int] = []
+    for i in range(n_e):
+        c = ec_list[i]
+        j = ej_list[i]
+        fringe = cc0[c] == 1
+        unblocked = rj0[j] - red[i] == 0
+        rule2 = jc0[j] == 1
+        if rule2 or (fringe and unblocked):
+            seeds_on.append(i)
+            seeds_off.append(i)
+        elif fringe and persona[c]:
+            seeds_on.append(i)
+
+    j_off, j_adj = _csr(j_rows)
+
+    return CompiledGraph(
+        graph=graph,
+        n_edges=n_e,
+        n_commitments=n_c,
+        n_conjunctions=n_j,
+        edge_commitment=array("i", ec_list),
+        edge_conjunction=array("i", ej_list),
+        edge_red=red,
+        persona=persona,
+        j_off=j_off,
+        j_adj=j_adj,
+        cc0=array("i", cc0),
+        jc0=array("i", jc0),
+        rj0=array("i", rj0),
+        csum0=array("q", csum0),
+        jsum0=array("q", jsum0),
+        jrsum0=array("q", jrsum0),
+        seeds_on=array("i", seeds_on),
+        seeds_off=array("i", seeds_off),
+    )
+
+
+# ------------------------------------------------------------------- run
+
+
+@dataclass(frozen=True)
+class FlatRun:
+    """Raw outcome of :func:`run_reduction`, before decompilation.
+
+    ``steps`` tuples are ``(index, rule, edge, via_persona, commitment_done,
+    conjunction_done)`` with ``-1`` for "no node disconnected".
     """
 
-    def __init__(self, graph: SequencingGraph, enable_persona_clause: bool = True) -> None:
-        """``enable_persona_clause=False`` ablates Rule #1 clause 2 (the
-        §4.2.3 direct-trust waiver); used by the ablation benchmarks to show
-        the clause is exactly what makes the trust variants differ."""
-        self.graph = graph
-        self.enable_persona_clause = enable_persona_clause
-        # Captured once: the per-firing observability cost is a single
-        # ``is not None`` test when tracing is off (the common case).
-        self._obs = _active_tracer()
-        edges = graph.edges
-        self.remaining: set[SGEdge] = set(edges)
-        self.steps: list[ReductionStep] = []
-        self._commitment_order: list[CommitmentNode] = []
-        self._conjunction_order: list[ConjunctionNode] = []
+    steps: list[tuple[int, int, int, bool, int, int]]
+    alive: bytearray
+    cc: array[int]
+    rj: array[int]
+    per: bytearray
+    commitment_order: list[int]
+    conjunction_order: list[int]
 
-        # ---- static indices (edge identity -> position, node -> incident edges)
-        self._edges = edges
-        self._index_of: dict[SGEdge, int] = {e: i for i, e in enumerate(edges)}
-        self._alive: list[bool] = [True] * len(edges)
-        self._commitment_edges: dict[CommitmentNode, list[int]] = {
-            c: [] for c in graph.commitments
-        }
-        self._conjunction_edges: dict[ConjunctionNode, list[int]] = {
-            j: [] for j in graph.conjunctions
-        }
-        for i, e in enumerate(edges):
-            self._commitment_edges[e.commitment].append(i)
-            self._conjunction_edges[e.conjunction].append(i)
 
-        # ---- incremental counters over the remaining-edge set
-        self._commitment_count: dict[CommitmentNode, int] = {
-            c: len(ids) for c, ids in self._commitment_edges.items()
-        }
-        self._conjunction_count: dict[ConjunctionNode, int] = {
-            j: len(ids) for j, ids in self._conjunction_edges.items()
-        }
-        self._red_count: dict[ConjunctionNode, int] = {j: 0 for j in graph.conjunctions}
-        self._pair_red: dict[tuple[ConjunctionNode, CommitmentNode], int] = {}
-        for e in edges:
-            if e.is_red:
-                self._red_count[e.conjunction] += 1
-                key = (e.conjunction, e.commitment)
-                self._pair_red[key] = self._pair_red.get(key, 0) + 1
+def run_reduction(
+    compiled: CompiledGraph,
+    strategy: str = "fifo",
+    rng: random.Random | None = None,
+    enable_persona_clause: bool = True,
+) -> FlatRun:
+    """Reduce the compiled graph until no rule applies, under *strategy*.
 
-        # ---- dirty-candidate worklist state: edge index -> (rule1, persona, rule2)
-        self._cand: dict[int, tuple[bool, bool, bool]] = {}
-        self._heap_min: list[int] = []  # lazily-invalidated candidate heaps
-        self._heap_max: list[int] = []
-        for i in range(len(edges)):
-            self._recheck(i)
+    Observability wraps only this function boundary: with no tracer
+    installed the cost is one ``active()`` call per reduction.
+    """
+    obs = _active_tracer()
+    if obs is None:
+        return _run_reduction_impl(compiled, strategy, rng, enable_persona_clause, None)
+    with obs.span(
+        "reduce.flat", {"edges": compiled.n_edges, "strategy": strategy}
+    ) as span_id:
+        run = _run_reduction_impl(compiled, strategy, rng, enable_persona_clause, obs)
+        remaining = run.alive.count(1)
+        obs.set_attr(span_id, "feasible", remaining == 0)
+        obs.set_attr(span_id, "survivors", remaining)
+    obs.metrics.histogram("reduction.survivors").observe(remaining)
+    obs.verdict(remaining == 0)
+    return run
 
-        # Commitments/conjunctions that start with no edges are disconnected
-        # from the outset (possible only in hand-built graphs).
-        for commitment in graph.commitments:
-            if self._commitment_count[commitment] == 0:
-                self._commitment_order.append(commitment)
-        for conjunction in graph.conjunctions:
-            if self._conjunction_count[conjunction] == 0:
-                self._conjunction_order.append(conjunction)
 
-    # ----------------------------------------------------------- fringe tests
+def _run_reduction_impl(
+    compiled: CompiledGraph,
+    strategy: str,
+    rng: random.Random | None,
+    enable_persona_clause: bool,
+    obs: Tracer | None,
+) -> FlatRun:
+    n_e = compiled.n_edges
+    ec = compiled.edge_commitment
+    ej = compiled.edge_conjunction
+    red = compiled.edge_red
+    j_off = compiled.j_off
+    j_adj = compiled.j_adj
+    per = compiled.persona if enable_persona_clause else bytearray(compiled.n_commitments)
+    cc = array("i", compiled.cc0)
+    jc = array("i", compiled.jc0)
+    rj = array("i", compiled.rj0)
+    csum = array("q", compiled.csum0)
+    jsum = array("q", compiled.jsum0)
+    jrsum = array("q", compiled.jrsum0)
+    alive = bytearray(b"\x01") * n_e
+    elig = bytearray(n_e)
+    seeds = compiled.seeds_on if enable_persona_clause else compiled.seeds_off
+    # Nodes that start with no edges are disconnected from the outset
+    # (possible only in hand-built graphs).
+    commitment_order = [c for c in range(compiled.n_commitments) if cc[c] == 0]
+    conjunction_order = [j for j in range(compiled.n_conjunctions) if jc[j] == 0]
+    steps: list[tuple[int, int, int, bool, int, int]] = []
 
-    def _edges_of_commitment(self, commitment: CommitmentNode) -> list[SGEdge]:
-        """Remaining edges at *commitment*, in graph-edge order."""
-        return [
-            self._edges[i]
-            for i in self._commitment_edges.get(commitment, ())
-            if self._alive[i]
-        ]
+    def remove(e: int, rule: int) -> list[int]:
+        """Apply one rule, record the step, return newly eligible edges."""
+        c = ec[e]
+        j = ej[e]
+        # via_persona is read before the decrement: it reports whether
+        # clause 1 would have failed at the moment the rule fired.
+        via_persona = rule == 1 and per[c] != 0 and rj[j] > red[e]
+        alive[e] = 0
+        newly: list[int] = []
+        n = cc[c] - 1
+        cc[c] = n
+        s = csum[c] - e
+        csum[c] = s
+        c_done = -1
+        j_done = -1
+        if n == 0:
+            c_done = c
+            commitment_order.append(c)
+        elif n == 1 and not elig[s]:
+            j2 = ej[s]
+            if per[c] != 0 or rj[j2] == red[s] or jc[j2] == 1:
+                elig[s] = 1
+                newly.append(s)
+        m = jc[j] - 1
+        jc[j] = m
+        t = jsum[j] - e
+        jsum[j] = t
+        if m == 0:
+            j_done = j
+            conjunction_order.append(j)
+        elif m == 1 and not elig[t]:
+            elig[t] = 1
+            newly.append(t)
+        if red[e]:
+            r = rj[j] - 1
+            rj[j] = r
+            u = jrsum[j] - e
+            jrsum[j] = u
+            if r == 1:
+                # One red left at j: that red itself is now unblocked.
+                if not elig[u] and cc[ec[u]] == 1:
+                    elig[u] = 1
+                    newly.append(u)
+            elif r == 0 and m > 0:
+                # Last red gone: every surviving black fringe edge at j wakes.
+                for e2 in j_adj[j_off[j] : j_off[j + 1]]:
+                    if alive[e2] and not elig[e2] and cc[ec[e2]] == 1:
+                        elig[e2] = 1
+                        newly.append(e2)
+        steps.append((len(steps) + 1, rule, e, via_persona, c_done, j_done))
+        return newly
 
-    def _edges_of_conjunction(self, conjunction: ConjunctionNode) -> list[SGEdge]:
-        """Remaining edges at *conjunction*, in graph-edge order."""
-        return [
-            self._edges[i]
-            for i in self._conjunction_edges.get(conjunction, ())
-            if self._alive[i]
-        ]
-
-    def is_commitment_fringe(self, commitment: CommitmentNode) -> bool:
-        """Whether *commitment* has exactly one remaining edge."""
-        return self._commitment_count.get(commitment, 0) == 1
-
-    def is_conjunction_fringe(self, conjunction: ConjunctionNode) -> bool:
-        """Whether *conjunction* has exactly one remaining edge."""
-        return self._conjunction_count.get(conjunction, 0) == 1
-
-    def _blocking_red_count(self, edge: SGEdge) -> int:
-        """O(1) cardinality of :meth:`blocking_red_edges`."""
-        own = self._pair_red.get((edge.conjunction, edge.commitment), 0)
-        return self._red_count.get(edge.conjunction, 0) - own
-
-    def blocking_red_edges(self, edge: SGEdge) -> tuple[SGEdge, ...]:
-        """Remaining red edges at ``edge.conjunction`` from *other* commitments."""
-        if self._blocking_red_count(edge) == 0:
-            return ()
-        return tuple(
-            other
-            for other in self._edges_of_conjunction(edge.conjunction)
-            if other.is_red and other.commitment != edge.commitment
-        )
-
-    def rule1_applicable(self, edge: SGEdge) -> tuple[bool, bool]:
-        """Whether Rule #1 may remove *edge*; returns ``(ok, via_persona)``.
-
-        Clause 1: no other red edge remains at the conjunction.  Clause 2:
-        the commitment is a persona (its principal plays the trusted-agent
-        role), which waives pre-emption entirely (§4.2.3).
-        """
-        if edge not in self.remaining:
-            return False, False
-        if not self.is_commitment_fringe(edge.commitment):
-            return False, False
-        if self.enable_persona_clause and edge.commitment in self.graph.personas:
-            # Clause 2 applies; report persona only when clause 1 would fail,
-            # so traces show where direct trust actually mattered.
-            return True, self._blocking_red_count(edge) > 0
-        if self._blocking_red_count(edge) > 0:
-            return False, False
-        return True, False
-
-    def rule2_applicable(self, edge: SGEdge) -> bool:
-        """Whether Rule #2 may remove *edge* (its conjunction is fringe)."""
-        return edge in self.remaining and self.is_conjunction_fringe(edge.conjunction)
-
-    def applicable(self) -> list[tuple[Rule, SGEdge, bool]]:
-        """Every currently legal step as ``(rule, edge, via_persona)``.
-
-        The list is deterministic: edges in original graph order, Rule #1
-        before Rule #2 for the same edge.
-        """
-        result: list[tuple[Rule, SGEdge, bool]] = []
-        for index in sorted(self._cand):
-            rule1, via_persona, rule2 = self._cand[index]
-            edge = self._edges[index]
-            if rule1:
-                result.append((Rule.COMMITMENT_FRINGE, edge, via_persona))
-            if rule2:
-                result.append((Rule.CONJUNCTION_FRINGE, edge, False))
-        return result
-
-    # ------------------------------------------------------------- worklist
-
-    def _recheck(self, index: int) -> None:
-        """Re-derive rule eligibility for one (dirty) edge — O(1)."""
-        if not self._alive[index]:
-            self._cand.pop(index, None)
-            return
-        edge = self._edges[index]
-        rule1 = False
-        via_persona = False
-        if self._commitment_count[edge.commitment] == 1:
-            blocked = self._blocking_red_count(edge) > 0
-            if self.enable_persona_clause and edge.commitment in self.graph.personas:
-                rule1, via_persona = True, blocked
-            else:
-                rule1 = not blocked
-        rule2 = self._conjunction_count[edge.conjunction] == 1
-        if rule1 or rule2:
-            if index not in self._cand:
-                heapq.heappush(self._heap_min, index)
-                heapq.heappush(self._heap_max, -index)
-            self._cand[index] = (rule1, via_persona, rule2)
-        else:
-            self._cand.pop(index, None)
-
-    def _peek_candidate(self, lifo: bool) -> int | None:
-        """Lowest (fifo) or highest (lifo) candidate edge index, or None."""
-        heap = self._heap_max if lifo else self._heap_min
+    if strategy == "fifo" or strategy == "lifo":
+        sign = 1 if strategy == "fifo" else -1
+        heap = [sign * e for e in seeds]
+        heapq.heapify(heap)
+        for e in seeds:
+            elig[e] = 1
         while heap:
-            index = -heap[0] if lifo else heap[0]
-            if index in self._cand:
-                return index
-            heapq.heappop(heap)
-        return None
-
-    # ----------------------------------------------------------------- apply
-
-    def apply(self, rule: Rule, edge: SGEdge) -> ReductionStep:
-        """Apply *rule* to *edge*; raise :class:`ReductionError` if illegal."""
-        if edge not in self.remaining:
-            raise ReductionError(f"edge already removed or unknown: {edge}")
-        via_persona = False
-        if rule is Rule.COMMITMENT_FRINGE:
-            ok, via_persona = self.rule1_applicable(edge)
-            if not ok:
-                if not self.is_commitment_fringe(edge.commitment):
-                    raise ReductionError(
-                        f"Rule #1 inapplicable: {edge.commitment.label} is not a fringe node"
-                    )
-                reds = self.blocking_red_edges(edge)
-                raise ReductionError(
-                    f"Rule #1 inapplicable: {edge} is pre-empted by red edge(s) "
-                    f"{[str(r) for r in reds]} and the commitment is not a persona"
-                )
-        elif rule is Rule.CONJUNCTION_FRINGE:
-            if not self.rule2_applicable(edge):
-                raise ReductionError(
-                    f"Rule #2 inapplicable: {edge.conjunction.label} is not a fringe node"
-                )
-        else:  # pragma: no cover - enum exhausted
-            raise ReductionError(f"unknown rule {rule!r}")
-
-        index = self._index_of[edge]
-        commitment, conjunction = edge.commitment, edge.conjunction
-        self.remaining.discard(edge)
-        self._alive[index] = False
-        self._cand.pop(index, None)
-        self._commitment_count[commitment] -= 1
-        self._conjunction_count[conjunction] -= 1
-        if edge.is_red:
-            self._red_count[conjunction] -= 1
-            self._pair_red[(conjunction, commitment)] -= 1
-
-        commitment_done = None
-        conjunction_done = None
-        if self._commitment_count[commitment] == 0:
-            commitment_done = commitment
-            self._commitment_order.append(commitment)
-        if self._conjunction_count[conjunction] == 0:
-            conjunction_done = conjunction
-            self._conjunction_order.append(conjunction)
-
-        # Only edges incident to the touched commitment/conjunction can have
-        # changed eligibility (fringe counts, red pre-emption) — re-enqueue
-        # exactly those for re-checking.
-        for dirty in self._commitment_edges[commitment]:
-            if self._alive[dirty]:
-                self._recheck(dirty)
-        for dirty in self._conjunction_edges[conjunction]:
-            if self._alive[dirty]:
-                self._recheck(dirty)
-
-        step = ReductionStep(
-            index=len(self.steps) + 1,
-            rule=rule,
-            edge=edge,
-            via_persona=via_persona,
-            commitment_disconnected=commitment_done,
-            conjunction_disconnected=conjunction_done,
-        )
-        self.steps.append(step)
-        if self._obs is not None:
-            self._obs.rule_firing(
-                f"rule{int(rule)}",
-                edge=index,
-                depth=len(self._cand),
-                persona=via_persona,
-            )
-        return step
-
-    def apply_edge(self, edge: SGEdge) -> ReductionStep:
-        """Remove *edge* by whichever rule applies (Rule #1 preferred)."""
-        ok, _ = self.rule1_applicable(edge)
-        if ok:
-            return self.apply(Rule.COMMITMENT_FRINGE, edge)
-        if self.rule2_applicable(edge):
-            return self.apply(Rule.CONJUNCTION_FRINGE, edge)
-        raise ReductionError(f"no reduction rule applies to {edge}")
-
-    # -------------------------------------------------------------------- run
-
-    def run(
-        self,
-        strategy: str = "fifo",
-        rng: random.Random | None = None,
-        chooser: Callable[[list[tuple[Rule, SGEdge, bool]]], tuple[Rule, SGEdge, bool]]
-        | None = None,
-    ) -> ReductionTrace:
-        """Greedily reduce until no rule applies; return the trace.
-
-        ``strategy`` selects among applicable steps: ``"fifo"`` (first in
-        deterministic order), ``"lifo"`` (last), or ``"random"`` (requires
-        *rng* for reproducibility).  A custom *chooser* overrides strategy.
-
-        ``fifo``/``lifo`` pick straight off the candidate heaps (no list
-        materialization); ``random`` and *chooser* materialize the full
-        :meth:`applicable` list each step because their choice is defined
-        over it.
-        """
-        obs = self._obs
-        if obs is None:
-            return self._run(strategy, rng, chooser)
-        with obs.span(
-            "reduce.indexed", {"edges": len(self._edges), "strategy": strategy}
-        ) as span_id:
-            trace = self._run(strategy, rng, chooser)
-            obs.set_attr(span_id, "feasible", trace.feasible)
-            obs.set_attr(span_id, "survivors", len(trace.remaining))
-        obs.metrics.histogram("reduction.survivors").observe(len(trace.remaining))
-        obs.verdict(trace.feasible)
-        return trace
-
-    def _run(
-        self,
-        strategy: str,
-        rng: random.Random | None,
-        chooser: Callable[[list[tuple[Rule, SGEdge, bool]]], tuple[Rule, SGEdge, bool]]
-        | None,
-    ) -> ReductionTrace:
-        if strategy == "random" and rng is None and chooser is None:
-            rng = random.Random(0)
-        if chooser is not None or strategy == "random":
-            while True:
-                options = self.applicable()
-                if not options:
-                    break
-                if chooser is not None:
-                    choice = chooser(options)
-                    if choice not in options:
-                        raise ReductionError("chooser returned an inapplicable step")
-                else:
-                    assert rng is not None
-                    choice = rng.choice(options)
-                rule, edge, _ = choice
-                self.apply(rule, edge)
-            return self.trace()
-        if strategy not in ("fifo", "lifo"):
-            # Match the reference engine: an unknown strategy only errors
-            # when there is actually a step left to choose.
-            if self._cand:
-                raise ReductionError(f"unknown reduction strategy {strategy!r}")
-            return self.trace()
-        lifo = strategy == "lifo"
-        while True:
-            index = self._peek_candidate(lifo)
-            if index is None:
-                break
-            rule1, _, rule2 = self._cand[index]
-            # The options list holds Rule #1 before Rule #2 per edge, so the
-            # first entry overall is the lowest index's Rule #1 (when legal)
-            # and the last entry is the highest index's Rule #2 (when legal).
-            if lifo:
-                rule = Rule.CONJUNCTION_FRINGE if rule2 else Rule.COMMITMENT_FRINGE
-            else:
-                rule = Rule.COMMITMENT_FRINGE if rule1 else Rule.CONJUNCTION_FRINGE
-            self.apply(rule, self._edges[index])
-        return self.trace()
-
-    def trace(self) -> ReductionTrace:
-        """Snapshot the current state as a :class:`ReductionTrace`."""
-        return ReductionTrace(
-            graph=self.graph,
-            steps=tuple(self.steps),
-            remaining=frozenset(self.remaining),
-            commitment_order=tuple(self._commitment_order),
-            conjunction_order=tuple(self._conjunction_order),
-            blockages=tuple(self._diagnose()),
-        )
-
-    def _diagnose(self) -> list[Blockage]:
-        """Explain the impasse: fringe commitment edges pre-empted by reds."""
-        blockages: list[Blockage] = []
-        for edge in sorted(self.remaining):
-            if not self.is_commitment_fringe(edge.commitment):
+            e = sign * heapq.heappop(heap)
+            if not alive[e]:
                 continue
-            reds = self.blocking_red_edges(edge)
-            persona_waived = (
-                self.enable_persona_clause and edge.commitment in self.graph.personas
-            )
-            if reds and not persona_waived:
-                blockages.append(Blockage(edge=edge, blocking_red=reds))
-        return blockages
+            # Recompute the rule from live counters: eligibility is
+            # monotone, but *which* rule applies can shift between push
+            # and pop.  fifo takes the lowest edge's Rule #1 when legal,
+            # lifo the highest edge's Rule #2 when legal.
+            c = ec[e]
+            j = ej[e]
+            if strategy == "fifo":
+                rule = 1 if cc[c] == 1 and (per[c] != 0 or rj[j] == red[e]) else 2
+            else:
+                rule = 2 if jc[j] == 1 else 1
+            newly = remove(e, rule)
+            if obs is not None:
+                obs.rule_firing(
+                    f"rule{rule}", edge=e, depth=len(heap), persona=steps[-1][3]
+                )
+            for new_edge in newly:
+                heapq.heappush(heap, sign * new_edge)
+    elif strategy == "random":
+        if rng is None:
+            rng = random.Random(0)
+        cand = set(seeds)
+        for e in cand:
+            elig[e] = 1
+        while cand:
+            # The draw is over the full applicable-step list, so a seeded
+            # rng picks the same steps as the reference engine's.
+            options: list[tuple[int, int]] = []
+            for e in sorted(cand):
+                c = ec[e]
+                j = ej[e]
+                if cc[c] == 1 and (per[c] != 0 or rj[j] == red[e]):
+                    options.append((1, e))
+                if jc[j] == 1:
+                    options.append((2, e))
+            rule, e = rng.choice(options)
+            cand.discard(e)
+            newly = remove(e, rule)
+            if obs is not None:
+                obs.rule_firing(
+                    f"rule{rule}", edge=e, depth=len(cand), persona=steps[-1][3]
+                )
+            cand.update(newly)
+    elif seeds:
+        # Like the reference engine, an unknown strategy only errors when
+        # there is actually a step left to choose.
+        raise ReductionError(f"unknown reduction strategy {strategy!r}")
+
+    return FlatRun(
+        steps=steps,
+        alive=alive,
+        cc=cc,
+        rj=rj,
+        per=bytearray(per),
+        commitment_order=commitment_order,
+        conjunction_order=conjunction_order,
+    )
+
+
+# ------------------------------------------------------------- decompile
+
+
+def decompile(compiled: CompiledGraph, run: FlatRun) -> ReductionTrace:
+    """Lift a flat run back into the object-level trace."""
+    graph = compiled.graph
+    edges = graph.edges
+    commitments = graph.commitments
+    conjunctions = graph.conjunctions
+    ec = compiled.edge_commitment
+    ej = compiled.edge_conjunction
+    red = compiled.edge_red
+    j_off = compiled.j_off
+    j_adj = compiled.j_adj
+    alive = run.alive
+
+    steps = tuple(
+        ReductionStep(
+            index=index,
+            rule=Rule(rule),
+            edge=edges[e],
+            via_persona=via_persona,
+            commitment_disconnected=None if c_done < 0 else commitments[c_done],
+            conjunction_disconnected=None if j_done < 0 else conjunctions[j_done],
+        )
+        for index, rule, e, via_persona, c_done, j_done in run.steps
+    )
+    live_ids = [e for e in range(compiled.n_edges) if alive[e]]
+    remaining = frozenset(edges[e] for e in live_ids)
+
+    # Blockages: remaining edges whose commitment is on the fringe, with at
+    # least one *other* red surviving at the conjunction and no persona
+    # waiver — listed in SGEdge order, each with its blocking reds in
+    # graph-edge order.  Only the blocked edges are sorted, not every
+    # survivor.
+    blocked: list[Blockage] = []
+    for e in live_ids:
+        c = ec[e]
+        j = ej[e]
+        if run.cc[c] != 1:
+            continue  # not on the commitment fringe
+        if run.rj[j] - red[e] == 0:
+            continue  # no blocking reds
+        if run.per[c]:
+            continue  # §4.2.3 persona waiver applies
+        blocking = tuple(
+            edges[e2]
+            for e2 in j_adj[j_off[j] : j_off[j + 1]]
+            if alive[e2] and red[e2] and ec[e2] != c
+        )
+        blocked.append(Blockage(edge=edges[e], blocking_red=blocking))
+    blocked.sort(key=lambda blockage: blockage.edge)
+
+    return ReductionTrace(
+        graph=graph,
+        steps=steps,
+        remaining=remaining,
+        commitment_order=tuple(commitments[c] for c in run.commitment_order),
+        conjunction_order=tuple(conjunctions[j] for j in run.conjunction_order),
+        blockages=tuple(blocked),
+    )
 
 
 def reduce_graph(
@@ -549,23 +564,15 @@ def reduce_graph(
     rng: random.Random | None = None,
     enable_persona_clause: bool = True,
 ) -> ReductionTrace:
-    """Reduce *graph* greedily and return the trace (one-call convenience).
+    """Reduce *graph* greedily under *strategy* and return the trace.
 
-    ``enable_persona_clause=False`` ablates Rule #1 clause 2 (§4.2.3), same
-    as constructing :class:`ReductionEngine` with that flag.
+    ``strategy`` is ``"fifo"``, ``"lifo"`` or ``"random"`` (seeded by *rng*,
+    ``random.Random(0)`` when omitted).  ``enable_persona_clause=False``
+    ablates Rule #1 clause 2 (§4.2.3); the ablation studies use it to show
+    the clause is exactly what makes the trust variants differ.
     """
-    engine = ReductionEngine(graph, enable_persona_clause=enable_persona_clause)
-    return engine.run(strategy=strategy, rng=rng)
-
-
-def replay(graph: SequencingGraph, script: Iterable[tuple[Rule, SGEdge]]) -> ReductionTrace:
-    """Replay an explicit sequence of ``(rule, edge)`` steps.
-
-    Used by the figure benchmarks to replay the paper's circled elimination
-    orders and assert each step is legal.  The replayed steps need not
-    exhaust the graph; the returned trace reflects whatever remains.
-    """
-    engine = ReductionEngine(graph)
-    for rule, edge in script:
-        engine.apply(rule, edge)
-    return engine.trace()
+    compiled = compile_graph(graph)
+    run = run_reduction(
+        compiled, strategy=strategy, rng=rng, enable_persona_clause=enable_persona_clause
+    )
+    return decompile(compiled, run)

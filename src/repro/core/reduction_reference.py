@@ -3,18 +3,21 @@
 This is the seed implementation of the §4.2 greedy reduction: every fringe
 test rescans the full remaining-edge set and :meth:`applicable` re-derives
 all legal steps from scratch each iteration, giving O(E³) behavior on large
-graphs.  It was replaced by the incremental indexed engine in
-:mod:`repro.core.reduction`, but is kept (unoptimized, and never imported by
-production code) as the **equivalence oracle**: the property suite in
-``tests/property/test_engine_equivalence.py`` drives both engines through
-identical strategies, personas, and ablations and asserts they agree on the
-verdict, the step sequence, the blockage diagnosis, and the commitment /
-conjunction disconnection orders.
+graphs.  Production traces come from the compiled engine in
+:mod:`repro.core.reduction`; this one is kept (unoptimized, and never
+imported by production code) as the **equivalence oracle**: the
+reference-equivalence suites drive both engines through identical
+strategies, personas, and ablations and assert they agree on the verdict,
+the step sequence, the blockage diagnosis, and the commitment / conjunction
+disconnection orders.  It is also the engine behind the step-level API
+(:meth:`applicable`, :meth:`apply`, a custom ``chooser``) and scripted
+:func:`replay_reference`, which the confluence, ablation and figure tests
+use.
 
 The only change from the seed is that remaining-edge enumeration iterates
 ``graph.edges`` (original graph order) rather than a Python ``set``, so
 ``blocking_red_edges`` tuples are deterministic and comparable against the
-indexed engine's output.
+compiled engine's output.
 """
 
 from __future__ import annotations
@@ -224,7 +227,13 @@ def reference_reduce(
 def replay_reference(
     graph: SequencingGraph, script: Iterable[tuple[Rule, SGEdge]]
 ) -> ReductionTrace:
-    """Replay a script through the oracle engine (mirrors :func:`repro.core.reduction.replay`)."""
+    """Replay an explicit sequence of ``(rule, edge)`` steps.
+
+    Each step must be legal when applied (:class:`ReductionError`
+    otherwise); the script need not exhaust the graph, and the returned
+    trace reflects whatever remains.  The figure benchmarks use it to
+    replay the paper's circled elimination orders.
+    """
     engine = ReferenceReductionEngine(graph)
     for rule, edge in script:
         engine.apply(rule, edge)

@@ -17,7 +17,7 @@ Rule catalogue (see DESIGN.md §10 for rationale and examples):
   sanctioned alternative and never flagged.
 * **DET002** — iteration over a ``set``/``frozenset`` expression inside an
   ordered-output sink (functions named like ``digest``/``describe``/
-  ``to_dict``/``render``/``payload``… — the last covering the flatcore
+  ``to_dict``/``render``/``payload``… — the last covering
   bench-artifact builders — or anything in ``viz/``) without an explicit
   ``sorted(...)``.  Set iteration order depends on ``PYTHONHASHSEED``, so it
   silently breaks cross-process digest equality.

@@ -122,10 +122,20 @@ class TestCheckFeasibilityBatch:
 
     @pytest.mark.parametrize("strategy", ["fifo", "lifo", "random"])
     def test_pool_matches_serial_across_strategies(self, strategy):
+        # The rows take no strategy: serial and pooled rows both equal the
+        # counts of a trace under any strategy.
         specs = batch_specs(40, RandomProblemConfig(), seed=5)
-        serial = check_feasibility_batch(specs, strategy=strategy, processes=1)
-        pooled = check_feasibility_batch(specs, strategy=strategy, processes=2)
+        serial = check_feasibility_batch(specs, processes=1)
+        pooled = check_feasibility_batch(specs, processes=2)
         assert pooled == serial
+        for spec, row in zip(specs, serial):
+            verdict = spec.build().feasibility(strategy=strategy)
+            assert row == BatchVerdict(
+                feasible=verdict.feasible,
+                steps=len(verdict.trace.steps),
+                remaining=len(verdict.trace.remaining),
+                blockages=len(verdict.blockages),
+            )
 
     def test_thousand_problem_study_is_ordered_and_deterministic(self):
         # The pipeline's acceptance criterion: >= 1000 random problems

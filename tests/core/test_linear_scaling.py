@@ -41,7 +41,7 @@ def _pipeline_comparisons(counts, n_brokers):
     counts.clear()
     problem = resale_chain(n_brokers, retail=2 * n_brokers + 10)
     assert problem.feasibility().feasible
-    problem.execution_sequence()
+    assert not problem.execution_sequence().violated_constraints()
     result = simulate(problem)
     assert evaluate_safety(problem, result).honest_parties_safe()
     return sum(counts.values())

@@ -11,7 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reduction import ReductionEngine, reduce_graph
+from repro.core.reduction import reduce_graph
 from repro.workloads import (
     RandomProblemConfig,
     broker_bundle,
@@ -23,9 +23,8 @@ from repro.workloads import (
 
 
 def _random_run(graph, seed: int):
-    rng = random.Random(seed)
-    engine = ReductionEngine(graph)
-    return engine.run(chooser=lambda options: rng.choice(options))
+    # The random strategy draws each step uniformly from every applicable one.
+    return reduce_graph(graph, strategy="random", rng=random.Random(seed))
 
 
 @given(seed_a=st.integers(0, 10_000), seed_b=st.integers(0, 10_000))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.execution import StepKind, recover_execution
-from repro.core.reduction import ReductionEngine
+from repro.core.reduction import reduce_graph
 from repro.workloads import (
     RandomProblemConfig,
     example1,
@@ -28,9 +28,9 @@ from repro.workloads import (
 
 
 def _sequence_for(problem, order_seed: int):
-    rng = random.Random(order_seed)
-    engine = ReductionEngine(problem.sequencing_graph())
-    trace = engine.run(chooser=lambda options: rng.choice(options))
+    trace = reduce_graph(
+        problem.sequencing_graph(), strategy="random", rng=random.Random(order_seed)
+    )
     if not trace.feasible:
         return None
     return recover_execution(trace)

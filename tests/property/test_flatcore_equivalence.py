@@ -1,14 +1,15 @@
-"""The compiled flat core against the indexed engine, trace for trace.
+"""The compiled core against the naive reference oracle, on fixed inputs.
 
-The flat core compiles a sequencing graph into integer arrays, reduces in a
-tight worklist loop, and decompiles back into a
-:class:`~repro.core.reduction.ReductionTrace`.  The contract is *identity*,
-not mere agreement: over every corpus fixture, every paper workload, and
-hundreds of random topologies — across all strategies and with the §4.2.3
-persona clause both on and off — the decompiled trace must be value-equal to
-``reduce_graph()``'s, the free-order verdict loop must land on the same
-(feasible, steps, remaining, blockages) counts, and the packed batch arena
-must match the one-graph-at-a-time path.
+``reduce_graph`` compiles a sequencing graph into integer arrays, reduces in
+a worklist loop, and decompiles back into a
+:class:`~repro.core.reduction.ReductionTrace`; the free-order verdict loop
+runs over the same arrays.  The contract is *identity*, not mere agreement:
+over every corpus fixture, every paper workload, and 200 random topologies
+(all small enough for the O(E³) oracle) — across all strategies and with the
+§4.2.3 persona clause both on and off — the trace must be value-equal to
+``reference_reduce()``'s, and the verdict loop must land on the reference
+fifo trace's (feasible, steps, remaining, blockages) counts.  The batch
+delegate ``check_feasibility_flat_batch`` must match one call per graph.
 """
 
 import glob
@@ -20,14 +21,12 @@ import pytest
 from repro.conformance.corpus import load_corpus_file
 from repro.conformance.oracles import trace_key
 from repro.core.flatcore import (
-    GraphArena,
     check_feasibility_flat,
     check_feasibility_flat_batch,
     compile_graph,
-    reduce_graph_compiled,
-    reduce_graph_flat,
 )
 from repro.core.reduction import reduce_graph
+from repro.core.reduction_reference import reference_reduce
 from repro.workloads import (
     RandomProblemConfig,
     broker_bundle,
@@ -61,29 +60,28 @@ WORKLOADS = {
 }
 
 
-def assert_flat_matches_indexed(graph, *, rng_seed=0):
+def assert_matches_reference(graph, *, rng_seed=0):
     """Full equivalence: every strategy, persona on and off, plus verdicts."""
-    compiled = compile_graph(graph)
     for persona in (True, False):
         for strategy in STRATEGIES:
-            indexed = reduce_graph(
+            reference = reference_reduce(
                 graph,
                 strategy=strategy,
                 rng=random.Random(rng_seed),
                 enable_persona_clause=persona,
             )
-            flat = reduce_graph_compiled(
-                compiled,
+            trace = reduce_graph(
+                graph,
                 strategy=strategy,
                 rng=random.Random(rng_seed),
                 enable_persona_clause=persona,
             )
-            assert trace_key(flat) == trace_key(indexed), (
+            assert trace_key(trace) == trace_key(reference), (
                 f"strategy={strategy} persona={persona}"
             )
         # The free-order verdict loop reaches the same normal form.
-        fifo = reduce_graph(graph, enable_persona_clause=persona)
-        verdict = check_feasibility_flat(compiled, enable_persona_clause=persona)
+        fifo = reference_reduce(graph, enable_persona_clause=persona)
+        verdict = check_feasibility_flat(graph, enable_persona_clause=persona)
         assert (
             verdict.feasible,
             verdict.steps,
@@ -103,24 +101,23 @@ def assert_flat_matches_indexed(graph, *, rng_seed=0):
 )
 def test_corpus_fixtures(path):
     problem = load_corpus_file(path).problem
-    assert_flat_matches_indexed(problem.sequencing_graph())
+    assert_matches_reference(problem.sequencing_graph())
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS), ids=sorted(WORKLOADS))
 def test_paper_workloads(name):
     graph = WORKLOADS[name]().sequencing_graph()
-    assert_flat_matches_indexed(graph, rng_seed=17)
+    assert_matches_reference(graph, rng_seed=17)
 
 
 def test_infeasible_workloads_include_blockages():
     # The blockage diagnosis must survive the decompiler, not just counts.
     for problem in (example2(), resale_chain(3, solvent=False)):
         graph = problem.sequencing_graph()
-        indexed = reduce_graph(graph)
-        flat = reduce_graph_flat(graph)
-        assert not flat.feasible
-        assert flat.blockages == indexed.blockages
-        assert flat.blockages
+        trace = reduce_graph(graph)
+        assert not trace.feasible
+        assert trace.blockages == reference_reduce(graph).blockages
+        assert trace.blockages
 
 
 def _random_graph(seed):
@@ -147,17 +144,20 @@ def test_random_topologies(block):
     # 200 graphs in 8 parametrized blocks of 25: trust edges, priorities,
     # hubs, cycles — every strategy, persona on and off.
     for seed in range(block * 25, (block + 1) * 25):
-        assert_flat_matches_indexed(_random_graph(seed), rng_seed=seed)
+        assert_matches_reference(_random_graph(seed), rng_seed=seed)
 
 
 def test_random_sweep_covers_both_verdicts():
-    verdicts = {assert_flat_matches_indexed(_random_graph(s)) for s in range(40)}
+    verdicts = {assert_matches_reference(_random_graph(s)) for s in range(40)}
     assert verdicts == {True, False}, (
         "the random sweep must exercise feasible AND infeasible graphs"
     )
 
 
 class TestBatchArena:
+    """``check_feasibility_flat_batch``: one verdict-loop call per graph, kept
+    because the end-to-end benchmark wraps it by name."""
+
     def test_arena_matches_singles(self):
         graphs = [_random_graph(s) for s in range(30)]
         graphs += [w().sequencing_graph() for w in WORKLOADS.values()]
@@ -173,8 +173,8 @@ class TestBatchArena:
 
     def test_arena_accepts_precompiled_graphs(self):
         graphs = [_random_graph(s) for s in range(8)]
-        arena = GraphArena.from_graphs([compile_graph(g) for g in graphs])
-        assert arena.reduce_all() == check_feasibility_flat_batch(graphs)
+        compiled = [compile_graph(g) for g in graphs]
+        assert check_feasibility_flat_batch(compiled) == check_feasibility_flat_batch(graphs)
 
     def test_empty_batch(self):
         assert check_feasibility_flat_batch([]) == []

@@ -200,47 +200,14 @@ class TestExtensionCommands:
         assert "unsound=0" in out
 
 
-class TestEngineFlag:
-    """``--engine`` on sweep/chaos: flat works, unknown names exit 2."""
-
-    def test_sweep_flat_engine(self, capsys):
-        assert main(["sweep", "priority", "--samples", "5", "--engine", "flat"]) == 0
-        assert "feasible" in capsys.readouterr().out
-
-    def test_sweep_gap_flat_engine(self, capsys):
-        assert main(["sweep", "gap", "--samples", "8", "--engine", "flat"]) == 0
-        assert "unsound=0" in capsys.readouterr().out
-
-    def test_chaos_flat_engine_matches_indexed(self, tmp_path):
-        import json
-
-        indexed_path = str(tmp_path / "indexed.json")
-        flat_path = str(tmp_path / "flat.json")
-        assert main(["chaos", "-n", "10", "--report", indexed_path]) == 0
-        assert main(
-            ["chaos", "-n", "10", "--engine", "flat", "--report", flat_path]
-        ) == 0
-        indexed = json.loads(open(indexed_path, encoding="utf-8").read())
-        flat = json.loads(open(flat_path, encoding="utf-8").read())
-        assert flat["verdicts"] == indexed["verdicts"]
-        assert flat["engine"] == "flat"
-        assert flat["process_cpus"] >= 1
-
-    def test_sweep_unknown_engine_exits_two_with_usage(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "gap", "--samples", "2", "--engine", "bogus"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert "invalid choice: 'bogus'" in err
-
-    def test_chaos_unknown_engine_exits_two_with_usage(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["chaos", "-n", "2", "--engine", "warp"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err
-        assert "invalid choice: 'warp'" in err
+class TestProfile:
+    def test_one_engine_table_and_verdict_line(self, capsys):
+        assert main(["profile", "--samples", "6", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "trace engine" in out
+        assert "indexed" not in out
+        assert "firings rule1" in out
+        assert "free-order verdict loop:" in out
 
 
 class TestFuzzCommand:
@@ -254,19 +221,7 @@ class TestFuzzCommand:
         assert code == 0
         data = json.loads(open(report_path, encoding="utf-8").read())
         assert data["discrepancies"] == []
-        assert data["flat_arm"] is True
         assert data["process_cpus"] >= 1
-
-    def test_fuzz_no_flat_arm_flag(self, tmp_path):
-        import json
-
-        report_path = str(tmp_path / "fuzz.json")
-        code = main(
-            ["fuzz", "-n", "4", "--no-sim", "--no-flat-arm", "--report", report_path]
-        )
-        assert code == 0
-        data = json.loads(open(report_path, encoding="utf-8").read())
-        assert data["flat_arm"] is False
 
     def test_petri_dot(self, capsys):
         assert main(["petri", "--example", "example1", "--dot"]) == 0
